@@ -35,6 +35,7 @@ main(int argc, char **argv)
         args.conf.getInt("restartAfter", 6000));
     Cycle reclaim =
         static_cast<Cycle>(args.conf.getInt("reclaim", 20000));
+    args.conf.requireAllRead();
 
     Table t("Endpoint fault domain: heavy synthetic traffic on " +
             topology + " with " + std::to_string(args.nodes) +

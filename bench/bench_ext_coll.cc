@@ -106,6 +106,7 @@ main(int argc, char **argv)
     int arity = static_cast<int>(args.conf.getInt("arity", 4));
     int crashNodes =
         static_cast<int>(args.conf.getInt("crashNodes", 64));
+    args.conf.requireAllRead();
 
     Table t("Barrier latency scaling on " + topology +
             ": software message tree vs NIC combining tree (arity " +

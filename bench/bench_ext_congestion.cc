@@ -26,7 +26,7 @@
  *       traffic.incast.hi=300 traffic.incast.heavy=4
  *       traffic.incast.lightdiv=25
  * plus the congestion.* knobs (window, onFrac, offFrac,
- * aggressorShare, victimSlowdown) via applyTelemetry(). The
+ * aggressorShare, victimSlowdown) via readTelemetryKnobs(). The
  * aggressor-share default here is 0.10 -- lower than the harness's
  * 0.25 because the contended links carry many flows at once --
  * still overridable from the command line.
@@ -53,18 +53,16 @@ struct IncastMix
 std::unique_ptr<Experiment>
 makeIncastExperiment(const std::string &topology, NicKind kind,
                      int nodes, const IncastMix &mix,
-                     std::uint64_t seed, const Config &telemetry)
+                     std::uint64_t seed,
+                     const ExperimentConfig &telemetry)
 {
-    ExperimentConfig cfg;
+    ExperimentConfig cfg = telemetry;
     cfg.topology = topology;
     cfg.numNodes = nodes;
     cfg.nicKind = kind;
     cfg.seed = seed;
     cfg.msg.packetWords = 8;
-    cfg.congestion.aggressorShare = 0.10; // see file comment
-    applyTelemetry(cfg, telemetry);
     cfg.congestion.enabled = true; // the bench's whole point
-    cfg.congestion.validate();
     auto exp = std::make_unique<Experiment>(cfg);
     int heavyLeft = mix.heavySenders;
     for (NodeId n = 0; n < exp->numNodes(); ++n) {
@@ -106,6 +104,9 @@ main(int argc, char **argv)
         "traffic.incast.heavy", 4));
     const int lightDiv = static_cast<int>(args.conf.getInt(
         "traffic.incast.lightdiv", 25));
+    args.telemetry.congestion.aggressorShare = 0.10; // see file comment
+    readTelemetryKnobs(args.conf, args.telemetry);
+    args.conf.requireAllRead();
     mix.lightParams = hp;
     mix.lightParams.packetsPerPhaseLo =
         std::max(1, hp.packetsPerPhaseLo / lightDiv);
@@ -123,7 +124,7 @@ main(int argc, char **argv)
 
     for (NicKind kind : {NicKind::none, NicKind::nifdy}) {
         auto exp = makeIncastExperiment(topology, kind, args.nodes,
-                                        mix, args.seed, args.conf);
+                                        mix, args.seed, args.telemetry);
         exp->runFor(args.cycles);
         const std::string tag =
             "incast." + std::string(nicKindName(kind));

@@ -43,6 +43,16 @@ main(int argc, char **argv)
     }
     std::string topology = args.conf.getString("topology", "mesh2d");
     double corrupt = args.conf.getDouble("corrupt", 0.0);
+    LossyConfig lossy;
+    lossy.retxTimeout =
+        static_cast<Cycle>(args.conf.getInt("timeout", 1500));
+    lossy.backoffFactor = args.conf.getDouble("backoff", 2.0);
+    lossy.maxRetxTimeout =
+        static_cast<Cycle>(args.conf.getInt("maxTimeout", 12000));
+    lossy.jitterFrac = args.conf.getDouble("jitter", 0.25);
+    lossy.maxRetries = static_cast<int>(args.conf.getInt("retries", 0));
+    readTelemetryKnobs(args.conf, args.telemetry);
+    args.conf.requireAllRead();
 
     Table t("Robustness extension: heavy synthetic traffic on " +
             topology + " with in-fabric faults, " +
@@ -54,23 +64,15 @@ main(int argc, char **argv)
     SyntheticParams sp = SyntheticParams::heavy();
     std::uint64_t base = 0;
     for (double drop : {0.0, 0.01, 0.02, 0.05, 0.10, 0.20}) {
-        ExperimentConfig cfg;
+        ExperimentConfig cfg = args.telemetry;
         cfg.topology = topology;
         cfg.numNodes = args.nodes;
         cfg.nicKind = NicKind::lossy;
         cfg.seed = args.seed;
         cfg.msg.packetWords = 8;
-        cfg.lossy.retxTimeout = static_cast<Cycle>(
-            args.conf.getInt("timeout", 1500));
-        cfg.lossy.backoffFactor = args.conf.getDouble("backoff", 2.0);
-        cfg.lossy.maxRetxTimeout = static_cast<Cycle>(
-            args.conf.getInt("maxTimeout", 12000));
-        cfg.lossy.jitterFrac = args.conf.getDouble("jitter", 0.25);
-        cfg.lossy.maxRetries = static_cast<int>(
-            args.conf.getInt("retries", 0));
+        cfg.lossy = lossy;
         cfg.fault.dropProb = drop;
         cfg.fault.corruptProb = corrupt;
-        applyTelemetry(cfg, args.conf);
         Experiment exp(cfg);
         for (NodeId n = 0; n < args.nodes; ++n)
             exp.setWorkload(n, std::make_unique<SyntheticWorkload>(

@@ -21,6 +21,7 @@ main(int argc, char **argv)
     setQuiet(true);
     BenchArgs args(argc, argv, 120000, 16);
     Cycle timeout = args.conf.getInt("timeout", 3000);
+    args.conf.requireAllRead();
 
     Table t("Extension (Section 6.2): heavy synthetic traffic on the "
             "2-D mesh with packet loss, " +

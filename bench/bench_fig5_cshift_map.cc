@@ -106,6 +106,7 @@ main(int argc, char **argv)
     BenchArgs args(argc, argv, 0);
     int words = static_cast<int>(args.conf.getInt("words", 120));
     Cycle interval = args.conf.getInt("interval", 10000);
+    args.conf.requireAllRead();
 
     MapResult none = runMap(NicKind::none, "cshift.pending.none",
                             args.nodes, words, interval, args.seed);

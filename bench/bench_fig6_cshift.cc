@@ -68,6 +68,7 @@ main(int argc, char **argv)
     setQuiet(true);
     BenchArgs args(argc, argv, 0);
     int words = static_cast<int>(args.conf.getInt("words", 120));
+    args.conf.requireAllRead();
 
     struct Row
     {

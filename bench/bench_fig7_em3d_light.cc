@@ -61,6 +61,7 @@ runEm3dFigure(int argc, char **argv, const Em3dParams &params,
     setQuiet(true);
     BenchArgs args(argc, argv, 0);
     int iters = static_cast<int>(args.conf.getInt("iters", 3));
+    args.conf.requireAllRead();
 
     Table t(title);
     t.header({"network", "none", "buffers", "nifdy-", "nifdy",

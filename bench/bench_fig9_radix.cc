@@ -93,6 +93,7 @@ main(int argc, char **argv)
     int buckets = static_cast<int>(args.conf.getInt("buckets", 256));
     int delay = static_cast<int>(args.conf.getInt("delay", 60));
     int keys = static_cast<int>(args.conf.getInt("keys", 256));
+    args.conf.requireAllRead();
 
     const std::vector<std::string> trees{"fattree", "cm5",
                                          "fattree-saf"};

@@ -103,6 +103,7 @@ main(int argc, char **argv)
     setQuiet(true);
     BenchArgs args(argc, argv, 0);
     int bytes = static_cast<int>(args.conf.getInt("packet", 32));
+    args.conf.requireAllRead();
 
     Table t("Table 3: simulated " + std::to_string(args.nodes) +
             "-node networks, measured characteristics and NIFDY "

@@ -9,6 +9,12 @@
  *   seed=N         RNG seed (default 1)
  *   csv=true       additionally emit CSV rows
  *   --json PATH    also write the run report as JSON (or json=PATH)
+ * plus, in benches that forward them (readTelemetryKnobs() into
+ * BenchArgs::telemetry), the observability knobs of the experiment
+ * table (trace.*, metrics.*, anatomy.*, congestion.*, profile.*). A
+ * bench reads its own keys and then calls conf.requireAllRead(),
+ * which rejects any key nobody read, before the first simulated
+ * cycle.
  *
  * Results flow through one RunReport: emit() prints a table to
  * stdout AND records it, so the text output and the `--json` report
@@ -41,6 +47,10 @@ struct BenchArgs
     std::uint64_t seed;
     bool csv;
     std::string jsonPath;
+    /** A default experiment config plus the observability knobs,
+     * once the bench has run readTelemetryKnobs() on it: the base of
+     * every experiment config a telemetry-forwarding bench builds. */
+    ExperimentConfig telemetry;
     RunReport report;
 
     BenchArgs(int argc, char **argv, Cycle defCycles, int defNodes = 64)
@@ -110,72 +120,6 @@ struct BenchArgs
                                           : path.substr(slash + 1);
     }
 };
-
-inline NicKind
-parseNicKind(const std::string &name)
-{
-    if (name == "none")
-        return NicKind::none;
-    if (name == "buffers")
-        return NicKind::buffers;
-    if (name == "nifdy")
-        return NicKind::nifdy;
-    if (name == "lossy")
-        return NicKind::lossy;
-    fatal("unknown NIC kind '%s'", name.c_str());
-}
-
-/**
- * Copy the telemetry knobs (trace.*, metrics.*) from the bench's
- * key=value arguments into an experiment config. Benches that build
- * many experiments get one trace/metrics file per experiment; the
- * sinks uniquify the path with a .2/.3 suffix.
- */
-inline void
-applyTelemetry(ExperimentConfig &cfg, const Config &conf)
-{
-    cfg.trace.path = conf.getString("trace.path", cfg.trace.path);
-    cfg.trace.sampleRate =
-        conf.getDouble("trace.sampleRate", cfg.trace.sampleRate);
-    cfg.trace.maxEvents = static_cast<std::size_t>(conf.getInt(
-        "trace.maxEvents", static_cast<long>(cfg.trace.maxEvents)));
-    cfg.trace.seed = static_cast<std::uint64_t>(conf.getInt(
-        "trace.seed", static_cast<long>(cfg.trace.seed)));
-    cfg.trace.validate();
-    cfg.metrics.path =
-        conf.getString("metrics.path", cfg.metrics.path);
-    cfg.metrics.interval = static_cast<Cycle>(conf.getInt(
-        "metrics.interval",
-        static_cast<long>(cfg.metrics.interval)));
-    cfg.metrics.validate();
-    cfg.anatomy.enabled =
-        conf.getBool("anatomy.enabled", cfg.anatomy.enabled);
-    cfg.anatomy.sampleRate =
-        conf.getDouble("anatomy.sampleRate", cfg.anatomy.sampleRate);
-    cfg.anatomy.seed = static_cast<std::uint64_t>(conf.getInt(
-        "anatomy.seed", static_cast<long>(cfg.anatomy.seed)));
-    cfg.anatomy.validate();
-    cfg.congestion.enabled =
-        conf.getBool("congestion.enabled", cfg.congestion.enabled);
-    cfg.congestion.window = static_cast<Cycle>(conf.getInt(
-        "congestion.window",
-        static_cast<long>(cfg.congestion.window)));
-    cfg.congestion.onFrac =
-        conf.getDouble("congestion.onFrac", cfg.congestion.onFrac);
-    cfg.congestion.offFrac =
-        conf.getDouble("congestion.offFrac", cfg.congestion.offFrac);
-    cfg.congestion.aggressorShare = conf.getDouble(
-        "congestion.aggressorShare", cfg.congestion.aggressorShare);
-    cfg.congestion.victimSlowdown = conf.getDouble(
-        "congestion.victimSlowdown", cfg.congestion.victimSlowdown);
-    cfg.congestion.validate();
-    cfg.profile.enabled =
-        conf.getBool("profile.enabled", cfg.profile.enabled);
-    cfg.profile.interval = static_cast<Cycle>(conf.getInt(
-        "profile.interval",
-        static_cast<long>(cfg.profile.interval)));
-    cfg.profile.validate();
-}
 
 /**
  * Record an experiment's latency-anatomy results (when enabled) into
@@ -290,17 +234,15 @@ makeSyntheticExperiment(const std::string &topology, NicKind kind,
                         int nodes, const SyntheticParams &sp,
                         std::uint64_t seed,
                         bool exploitInOrder = true,
-                        const Config *telemetry = nullptr)
+                        const ExperimentConfig *telemetry = nullptr)
 {
-    ExperimentConfig cfg;
+    ExperimentConfig cfg = telemetry ? *telemetry : ExperimentConfig{};
     cfg.topology = topology;
     cfg.numNodes = nodes;
     cfg.nicKind = kind;
     cfg.seed = seed;
     cfg.exploitInOrder = exploitInOrder;
     cfg.msg.packetWords = 8; // the synthetic benchmark's packet size
-    if (telemetry)
-        applyTelemetry(cfg, *telemetry);
     auto exp = std::make_unique<Experiment>(cfg);
     for (NodeId n = 0; n < exp->numNodes(); ++n)
         exp->setWorkload(n, std::make_unique<SyntheticWorkload>(
@@ -321,7 +263,7 @@ inline std::uint64_t
 syntheticThroughput(const std::string &topology, NicKind kind,
                     const SyntheticParams &sp, Cycle cycles, int nodes,
                     std::uint64_t seed,
-                    const Config *telemetry = nullptr,
+                    const ExperimentConfig *telemetry = nullptr,
                     BenchArgs *blameInto = nullptr,
                     const std::string &blameTag = "")
 {

@@ -61,6 +61,7 @@ main(int argc, char **argv)
     int iters = static_cast<int>(conf.getInt("iters", 3));
     std::uint64_t seed = conf.getInt("seed", 1);
     std::string preset = conf.getString("preset", "light");
+    conf.requireAllRead();
 
     Em3dParams params = preset == "heavy" ? Em3dParams::heavy()
                                           : Em3dParams::light();

@@ -31,13 +31,15 @@ main(int argc, char **argv)
     int packets = static_cast<int>(conf.getInt("packets", 40));
     int nodes = static_cast<int>(conf.getInt("nodes", 16));
     std::uint64_t seed = conf.getInt("seed", 1);
+    std::string topology = conf.getString("topology", "fattree");
+    conf.requireAllRead();
 
     // Assemble a network with lossy NIFDY NICs by hand, to show the
     // library's lower-level API.
     NetworkParams np;
     np.numNodes = nodes;
     np.seed = seed;
-    auto net = makeNetwork(conf.getString("topology", "fattree"), np);
+    auto net = makeNetwork(topology, np);
     Kernel kernel;
     net->addToKernel(kernel);
     PacketPool pool;

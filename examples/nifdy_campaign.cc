@@ -116,6 +116,7 @@ runCampaign(int argc, char **argv)
             conf.set(kv.first, kv.second);
 
     CampaignOptions opts = campaignFromConfig(conf);
+    conf.requireAllRead();
     opts.dir = dir;
     opts.resume = resume;
     opts.workerCmd = splitCommand(

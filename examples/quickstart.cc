@@ -4,8 +4,10 @@
  * interfaces, run the heavy synthetic workload for a while, and
  * print throughput and latency statistics.
  *
- * Usage: quickstart [topology=fattree] [nic=nifdy|none|buffers]
- *                   [cycles=200000] [nodes=64] [seed=1]
+ * Usage: quickstart [cycles=200000] [experiment knobs...]
+ * Every experiment knob works (topology=, nic=none|buffers|nifdy|lossy,
+ * nodes=, seed=, ...; see run_experiment --list-knobs); a misspelled
+ * key is fatal.
  */
 
 #include <cstdio>
@@ -23,15 +25,9 @@ main(int argc, char **argv)
     Config conf;
     conf.parseArgs(argc, argv);
 
-    ExperimentConfig cfg;
-    cfg.topology = conf.getString("topology", "fattree");
-    cfg.numNodes = static_cast<int>(conf.getInt("nodes", 64));
-    cfg.seed = conf.getInt("seed", 1);
-    std::string nic = conf.getString("nic", "nifdy");
-    cfg.nicKind = nic == "none"      ? NicKind::none
-                  : nic == "buffers" ? NicKind::buffers
-                                     : NicKind::nifdy;
+    ExperimentConfig cfg = experimentFromConfig(conf);
     Cycle cycles = conf.getInt("cycles", 200000);
+    conf.requireAllRead();
 
     Experiment exp(cfg);
     for (NodeId n = 0; n < exp.numNodes(); ++n)

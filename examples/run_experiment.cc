@@ -7,20 +7,13 @@
  * a schema-versioned JSON report.
  *
  * Usage: run_experiment [key=value ...] [--json PATH]
- *   workload=KIND   heavy (default), light, cshift, collective,
- *                   idle
- *   cycles=N        cycle budget (default 200000); cshift stops
- *                   early when the pattern completes
- *   timeout=N       hard cycle guard (0 = off): cap the budget at N
- *                   cycles and note run.timeout in the report when
- *                   the workload did not finish -- the self-guard a
- *                   campaign supervisor sets so a wedged config
- *                   reports itself instead of hanging
- *   words=N         cshift payload words per pair (default 120)
- *   csv=true        emit the summary table as CSV too
- *   help=true       print the full key reference
- *   --list-knobs    print every config knob as name, default, doc
- *                   (tab-separated, one per line) and exit
+ *        run_experiment --help | --list-knobs
+ * The keys are the experiment knobs plus the runner's own (workload,
+ * cycles, timeout, ...), both listed with defaults and docs by
+ * --help and --list-knobs. timeout=N is the self-guard a campaign
+ * supervisor sets: it caps the budget and notes run.timeout in the
+ * report, so a wedged config reports itself instead of hanging. A
+ * key the runner does not read is fatal.
  *
  * This is also the binary CI uses to exercise the telemetry stack:
  *   run_experiment workload=cshift nic=lossy fault.dropProb=0.001 \
@@ -31,6 +24,7 @@
 
 #include "harness/experiment.hh"
 #include "sim/config.hh"
+#include "sim/knob.hh"
 #include "sim/log.hh"
 #include "sim/report.hh"
 #include "traffic/collective.hh"
@@ -38,6 +32,48 @@
 #include "traffic/synthetic.hh"
 
 using namespace nifdy;
+
+namespace
+{
+
+/** The runner's own keys (everything else is an experiment knob). */
+struct RunnerOptions
+{
+    std::string workload = "heavy";
+    Cycle cycles = 200000;
+    Cycle timeout = 0;
+    int words = CShiftParams{}.wordsPerPair;
+    int phases = CollectiveParams{}.phases;
+    int collData = CollectiveParams{}.dataMsgs;
+    bool csv = false;
+};
+
+using R = RunnerOptions;
+constexpr Knob<R> runnerKnobs[] = {
+    knob<&R::workload>("workload",
+                       "workload kind: heavy, light, cshift, collective, idle"),
+    knob<&R::cycles>("cycles", "cycle budget"),
+    knob<&R::timeout>(
+        "timeout",
+        "hard cycle guard; note run.timeout when the workload did not "
+        "finish (0 = off)"),
+    knob<&R::words>("words", "cshift payload words per pair"),
+    knob<&R::phases>("phases",
+                     "collective phases (barrier/bcast/reduce rotation)"),
+    knob<&R::collData>("collData",
+                       "data messages per collective phase per node"),
+    knob<&R::csv>("csv", "emit the summary table as CSV too"),
+};
+
+std::string
+runnerKnobList()
+{
+    std::string list;
+    listKnobs<R>(runnerKnobs, list);
+    return list;
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -50,18 +86,7 @@ main(int argc, char **argv)
             conf.set("help", true);
         if (leftovers[i] == "--list-knobs") {
             printRaw(experimentKnobList());
-            printRaw("workload\theavy\t"
-                     "workload kind: heavy, light, cshift, "
-                     "collective, idle\n"
-                     "cycles\t200000\tcycle budget\n"
-                     "timeout\t0\thard cycle guard; note run.timeout "
-                     "when the workload did not finish (0 = off)\n"
-                     "words\t120\tcshift payload words per pair\n"
-                     "phases\t9\tcollective phases "
-                     "(barrier/bcast/reduce rotation)\n"
-                     "collData\t0\tdata messages per collective "
-                     "phase per node\n"
-                     "csv\tfalse\temit the summary table as CSV too\n");
+            printRaw(runnerKnobList());
             return 0;
         }
         if (leftovers[i] == "--json" && i + 1 < leftovers.size())
@@ -69,36 +94,24 @@ main(int argc, char **argv)
     }
     if (conf.getBool("help", false)) {
         printRaw(experimentCliHelp());
-        printRaw("runner keys:\n"
-                 "  workload=KIND          heavy, light, cshift, "
-                 "collective, idle\n"
-                 "  cycles=N               cycle budget\n"
-                 "  timeout=N              hard cycle guard (0 = "
-                 "off)\n"
-                 "  words=N                cshift payload words per "
-                 "pair\n"
-                 "  phases=N               collective phases "
-                 "(barrier/bcast/reduce)\n"
-                 "  collData=N             data messages per "
-                 "collective phase per node\n"
-                 "  csv=BOOL               CSV summary table\n"
-                 "  --json PATH            write the JSON run "
-                 "report\n");
+        printRaw(knobHelp("runner keys:", runnerKnobList()));
+        printRaw("  --json PATH\n      write the JSON run report\n");
         return 0;
     }
 
     ExperimentConfig cfg = experimentFromConfig(conf);
-    Cycle cycles = conf.getInt("cycles", 200000);
-    long timeoutRaw = conf.getInt("timeout", 0);
-    fatal_if(timeoutRaw < 0, "timeout must be >= 0");
-    Cycle timeout = static_cast<Cycle>(timeoutRaw);
+    RunnerOptions opt;
+    readKnobs<R>(conf, runnerKnobs, opt);
+    conf.requireAllRead();
+    const Cycle cycles = opt.cycles;
+    const Cycle timeout = opt.timeout;
     // The guard caps the budget; a workload that needed more cycles
     // shows up as run.timeout=1 in the report instead of running
     // (or hanging) unbounded under a campaign supervisor.
     Cycle budget = cycles;
     if (timeout > 0 && timeout < budget)
         budget = timeout;
-    std::string workload = conf.getString("workload", "heavy");
+    const std::string &workload = opt.workload;
 
     Experiment exp(cfg);
     CShiftBoard board(exp.numNodes());
@@ -113,8 +126,7 @@ main(int argc, char **argv)
                                    cfg.seed));
     } else if (workload == "cshift") {
         CShiftParams cp;
-        cp.wordsPerPair =
-            static_cast<int>(conf.getInt("words", 120));
+        cp.wordsPerPair = opt.words;
         for (NodeId n = 0; n < exp.numNodes(); ++n) {
             exp.nic(n).setInjectBoard(&board.injected);
             exp.setWorkload(n, std::make_unique<CShiftWorkload>(
@@ -124,9 +136,8 @@ main(int argc, char **argv)
         }
     } else if (workload == "collective") {
         CollectiveParams cp;
-        cp.phases = static_cast<int>(conf.getInt("phases", cp.phases));
-        cp.dataMsgs =
-            static_cast<int>(conf.getInt("collData", cp.dataMsgs));
+        cp.phases = opt.phases;
+        cp.dataMsgs = opt.collData;
         // Software mode runs the same tree shape the NIC engines
         // would, so offload vs software compares like for like.
         cp.arity = cfg.coll.arity;
@@ -160,7 +171,7 @@ main(int argc, char **argv)
                     std::to_string(ran) + " of a " +
                     std::to_string(cycles) + "-cycle budget)");
     }
-    rep.print(conf.getBool("csv", false));
+    rep.print(opt.csv);
     if (!jsonPath.empty())
         rep.writeJson(jsonPath);
     return 0;

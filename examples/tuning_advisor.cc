@@ -26,6 +26,7 @@ main(int argc, char **argv)
     std::string topo = conf.getString("topology", "mesh2d");
     int nodes = static_cast<int>(conf.getInt("nodes", 64));
     std::uint64_t seed = conf.getInt("seed", 1);
+    conf.requireAllRead();
 
     // Measure unloaded latency at a few distances with plain NICs.
     NetworkParams np;

@@ -17,6 +17,7 @@
 #include "campaign/supervisor.hh"
 #include "sim/config.hh"
 #include "sim/json.hh"
+#include "sim/knob.hh"
 #include "sim/log.hh"
 #include "sim/report.hh"
 #include "sim/rng.hh"
@@ -67,43 +68,43 @@ fileExists(const std::string &path)
     return ::stat(path.c_str(), &st) == 0;
 }
 
-/** One campaign.* knob: name, default, one-line doc. The table is
- * the --help / campaignKnobList() source of truth and is parsed by
- * tools/nifdylint (knob-documented + knob-in-design rules). */
-struct KnobDoc
-{
-    const char *name;
-    const char *def;
-    const char *doc;
-};
-
-const KnobDoc campaignKnobDocs[] = {
-    {"campaign.workers", "4",
-     "parallel worker subprocesses the engine fans jobs across"},
-    {"campaign.retryMax", "3",
-     "retries per job after the first failure before it is marked "
-     "failed"},
-    {"campaign.backoffBaseMs", "100",
-     "retry backoff after the first failure, milliseconds"},
-    {"campaign.backoffFactor", "2",
-     "backoff multiplier per further failure (exponential)"},
-    {"campaign.backoffMaxMs", "5000", "backoff ceiling, milliseconds"},
-    {"campaign.jitterFrac", "0.25",
-     "seeded +/- jitter fraction applied to each backoff, [0, 1)"},
-    {"campaign.wallTimeoutMs", "30000",
-     "per-attempt wall-clock budget; SIGTERM at the deadline, "
-     "SIGKILL one grace period later"},
-    {"campaign.termGraceMs", "2000",
-     "SIGTERM -> SIGKILL escalation delay, milliseconds"},
-    {"campaign.jobTimeout", "0",
-     "forwarded to every worker as its timeout=CYCLES self-guard "
-     "(0 = off)"},
-    {"campaign.pollMs", "2",
-     "supervisor poll interval while workers run, milliseconds"},
-    {"campaign.seed", "1", "engine RNG seed (backoff jitter)"},
-    {"campaign.failpoint", "0",
-     "crash-injection test hook: _exit(137) after N journal appends "
-     "(0 = off)"},
+using O = CampaignOptions;
+constexpr Knob<O> campaignKnobs[] = {
+    knob<&O::workers>(
+        "campaign.workers",
+        "parallel worker subprocesses the engine fans jobs across"),
+    knob<&O::retryMax>(
+        "campaign.retryMax",
+        "retries per job after the first failure before it is marked failed"),
+    knob<&O::backoffBaseMs>(
+        "campaign.backoffBaseMs",
+        "retry backoff after the first failure, milliseconds"),
+    knob<&O::backoffFactor>(
+        "campaign.backoffFactor",
+        "backoff multiplier per further failure (exponential)"),
+    knob<&O::backoffMaxMs>("campaign.backoffMaxMs",
+                           "backoff ceiling, milliseconds"),
+    knob<&O::jitterFrac>(
+        "campaign.jitterFrac",
+        "seeded +/- jitter fraction applied to each backoff, [0, 1)"),
+    knob<&O::wallTimeoutMs>(
+        "campaign.wallTimeoutMs",
+        "per-attempt wall-clock budget; SIGTERM at the deadline, SIGKILL "
+        "one grace period later"),
+    knob<&O::termGraceMs>("campaign.termGraceMs",
+                          "SIGTERM -> SIGKILL escalation delay, milliseconds"),
+    knob<&O::jobTimeout>(
+        "campaign.jobTimeout",
+        "forwarded to every worker as its timeout=CYCLES self-guard (0 = "
+        "off)"),
+    knob<&O::pollMs>(
+        "campaign.pollMs",
+        "supervisor poll interval while workers run, milliseconds"),
+    knob<&O::seed>("campaign.seed", "engine RNG seed (backoff jitter)"),
+    knob<&O::failpoint>(
+        "campaign.failpoint",
+        "crash-injection test hook: _exit(137) after N journal appends (0 = "
+        "off)"),
 };
 
 } // namespace
@@ -318,49 +319,24 @@ CampaignOptions
 campaignFromConfig(const Config &conf)
 {
     CampaignOptions o;
-    o.workers =
-        static_cast<int>(conf.getInt("campaign.workers", o.workers));
-    o.retryMax = static_cast<int>(
-        conf.getInt("campaign.retryMax", o.retryMax));
-    o.backoffBaseMs =
-        conf.getDouble("campaign.backoffBaseMs", o.backoffBaseMs);
-    o.backoffFactor =
-        conf.getDouble("campaign.backoffFactor", o.backoffFactor);
-    o.backoffMaxMs =
-        conf.getDouble("campaign.backoffMaxMs", o.backoffMaxMs);
-    o.jitterFrac =
-        conf.getDouble("campaign.jitterFrac", o.jitterFrac);
-    o.wallTimeoutMs =
-        conf.getDouble("campaign.wallTimeoutMs", o.wallTimeoutMs);
-    o.termGraceMs =
-        conf.getDouble("campaign.termGraceMs", o.termGraceMs);
-    o.jobTimeout = conf.getInt("campaign.jobTimeout", o.jobTimeout);
-    o.pollMs = conf.getDouble("campaign.pollMs", o.pollMs);
-    o.seed = static_cast<std::uint64_t>(
-        conf.getInt("campaign.seed", static_cast<long>(o.seed)));
-    o.failpoint = conf.getInt("campaign.failpoint", o.failpoint);
+    readKnobs(conf, campaignKnobs, o);
     return o;
 }
 
 std::string
 campaignCliHelp()
 {
-    std::ostringstream os;
-    os << "campaign keys (key=value; spec campaign{} < command "
-          "line):\n";
-    for (const KnobDoc &k : campaignKnobDocs)
-        os << "  " << k.name << " (default " << k.def << ")\n      "
-           << k.doc << "\n";
-    return os.str();
+    return knobHelp("campaign keys (key=value; spec campaign{} < command "
+                    "line):",
+                    campaignKnobList());
 }
 
 std::string
 campaignKnobList()
 {
-    std::ostringstream os;
-    for (const KnobDoc &k : campaignKnobDocs)
-        os << k.name << "\t" << k.def << "\t" << k.doc << "\n";
-    return os.str();
+    std::string list;
+    listKnobs<O>(campaignKnobs, list);
+    return list;
 }
 
 CampaignEngine::CampaignEngine(CampaignSpec spec, CampaignOptions opts)

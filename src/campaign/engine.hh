@@ -110,14 +110,15 @@ struct CampaignOptions
     void validate() const;
 };
 
-/** Read the campaign.* knobs out of @p conf (range-checked). */
+/** Read the campaign.* knobs out of @p conf through the campaign
+ * knob table (range checks live in CampaignOptions::validate()). */
 CampaignOptions campaignFromConfig(const Config &conf);
 
-/** Human-readable campaign.* key reference. */
+/** Human-readable campaign.* key reference, from the same table. */
 std::string campaignCliHelp();
 
-/** Machine-readable "name<TAB>default<TAB>doc" knob lines (parsed by
- * tools/nifdylint; every knob must be documented in DESIGN.md). */
+/** Machine-readable "name<TAB>default<TAB>doc" knob lines, from the
+ * same table (DESIGN.md section 11.6 mirrors them). */
 std::string campaignKnobList();
 
 /** Final state of one job after a campaign (test introspection). */

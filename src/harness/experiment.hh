@@ -289,10 +289,21 @@ class Experiment
 /**
  * Build an ExperimentConfig from the key=value Config/CLI layer, so
  * every experiment -- including lossy and fault-injected ones -- is
- * runnable without recompiling. Unknown values and out-of-range
- * knobs are fatal(). See experimentCliHelp() for the key list.
+ * runnable without recompiling. Generated from the experiment knob
+ * table, which also yields experimentKnobList() and
+ * experimentCliHelp(). Unknown values and out-of-range knobs are
+ * fatal(); unknown keys are left unread for
+ * Config::requireAllRead().
  */
 ExperimentConfig experimentFromConfig(const Config &conf);
+
+/**
+ * Read only the observability knobs (trace.*, metrics.*, anatomy.*,
+ * congestion.*, profile.*) of @p conf into @p cfg, through the same
+ * table: what a bench that assembles its own ExperimentConfigs takes
+ * from its command line.
+ */
+void readTelemetryKnobs(const Config &conf, ExperimentConfig &cfg);
 
 /** Human-readable key=value reference for experimentFromConfig(). */
 std::string experimentCliHelp();
@@ -300,8 +311,7 @@ std::string experimentCliHelp();
 /**
  * Machine-readable knob reference: one line per config key in the
  * form "name<TAB>default<TAB>doc" (run_experiment --list-knobs).
- * tools/lint.py parses the underlying table, so every knob listed
- * here must also be documented in DESIGN.md.
+ * DESIGN.md section 9.5 mirrors it; tests/test_knobs.cc checks both.
  */
 std::string experimentKnobList();
 

@@ -1,23 +1,49 @@
 #include "sim/config.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
+#include <utility>
 
+#include "sim/knob.hh"
 #include "sim/log.hh"
 
 namespace nifdy
 {
 
+namespace
+{
+
+/** Edit distance between @p a and @p b (did-you-mean ranking). */
+std::size_t
+editDistance(std::string_view a, std::string_view b)
+{
+    std::vector<std::size_t> row(b.size() + 1);
+    for (std::size_t j = 0; j <= b.size(); ++j)
+        row[j] = j;
+    for (std::size_t i = 1; i <= a.size(); ++i) {
+        std::size_t diag = row[0];
+        row[0] = i;
+        for (std::size_t j = 1; j <= b.size(); ++j)
+            diag = std::exchange(
+                row[j], std::min({row[j] + 1, row[j - 1] + 1,
+                                  diag + (a[i - 1] != b[j - 1])}));
+    }
+    return row[b.size()];
+}
+
+} // namespace
+
 void
 Config::set(const std::string &key, const std::string &value)
 {
-    values_[key] = value;
+    values_[key] = Entry{value};
 }
 
 void
 Config::set(const std::string &key, long value)
 {
-    values_[key] = std::to_string(value);
+    set(key, std::to_string(value));
 }
 
 void
@@ -25,13 +51,13 @@ Config::set(const std::string &key, double value)
 {
     std::ostringstream os;
     os << value;
-    values_[key] = os.str();
+    set(key, os.str());
 }
 
 void
 Config::set(const std::string &key, bool value)
 {
-    values_[key] = value ? "true" : "false";
+    set(key, std::string(value ? "true" : "false"));
 }
 
 bool
@@ -40,19 +66,33 @@ Config::has(const std::string &key) const
     return values_.count(key) != 0;
 }
 
+const std::string *
+Config::find(std::string_view key) const
+{
+    if (asked_.empty())
+        asked_.reserve(askedReserve);
+    asked_.append(key);
+    asked_.push_back('\n');
+    auto it = values_.find(key);
+    if (it == values_.end())
+        return nullptr;
+    it->second.read = true;
+    return &it->second.value;
+}
+
 std::string
 Config::getString(const std::string &key) const
 {
-    auto it = values_.find(key);
-    fatal_if(it == values_.end(), "missing config key '%s'", key.c_str());
-    return it->second;
+    const std::string *v = find(key);
+    fatal_if(!v, "missing config key '%s'", key.c_str());
+    return *v;
 }
 
 std::string
 Config::getString(const std::string &key, const std::string &fallback) const
 {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
+    const std::string *v = find(key);
+    return v ? *v : fallback;
 }
 
 long
@@ -70,7 +110,7 @@ Config::getInt(const std::string &key) const
 long
 Config::getInt(const std::string &key, long fallback) const
 {
-    return has(key) ? getInt(key) : fallback;
+    return find(key) ? getInt(key) : fallback;
 }
 
 double
@@ -88,7 +128,7 @@ Config::getDouble(const std::string &key) const
 double
 Config::getDouble(const std::string &key, double fallback) const
 {
-    return has(key) ? getDouble(key) : fallback;
+    return find(key) ? getDouble(key) : fallback;
 }
 
 bool
@@ -106,7 +146,39 @@ Config::getBool(const std::string &key) const
 bool
 Config::getBool(const std::string &key, bool fallback) const
 {
-    return has(key) ? getBool(key) : fallback;
+    return find(key) ? getBool(key) : fallback;
+}
+
+std::vector<std::string>
+Config::askedKeys() const
+{
+    std::vector<std::string> out;
+    std::istringstream in(asked_);
+    for (std::string key; std::getline(in, key);)
+        out.push_back(key);
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+}
+
+void
+Config::requireAllRead() const
+{
+    const std::vector<std::string> asked = askedKeys();
+    std::string msg;
+    for (const auto &kv : values_) {
+        if (kv.second.read)
+            continue;
+        msg += (msg.empty() ? "" : "; ") + ("unknown config key '" +
+                                           kv.first + "'");
+        auto nearest = std::min_element(
+            asked.begin(), asked.end(), [&](const auto &a, const auto &b) {
+                return editDistance(kv.first, a) < editDistance(kv.first, b);
+            });
+        if (nearest != asked.end())
+            msg += " (did you mean '" + *nearest + "'?)";
+    }
+    fatal_if(!msg.empty(), "%s", msg.c_str());
 }
 
 std::vector<std::string>
@@ -140,8 +212,21 @@ Config::toString() const
 {
     std::ostringstream os;
     for (const auto &kv : values_)
-        os << kv.first << "=" << kv.second << "\n";
+        os << kv.first << "=" << kv.second.value << "\n";
     return os.str();
+}
+
+std::string
+knobHelp(const std::string &title, const std::string &list)
+{
+    std::string out = title + "\n";
+    std::istringstream in(list);
+    for (std::string name, def, doc; std::getline(in, name, '\t') &&
+                                     std::getline(in, def, '\t') &&
+                                     std::getline(in, doc);)
+        out += "  " + name + " (default " + (def.empty() ? "empty" : def) +
+               ")\n      " + doc + "\n";
+    return out;
 }
 
 } // namespace nifdy

@@ -8,7 +8,6 @@
 #include "net/topology.hh"
 #include "sim/anatomy.hh"
 #include "sim/audit.hh"
-#include "sim/config.hh"
 #include "sim/log.hh"
 #include "sim/trace.hh"
 
@@ -124,48 +123,103 @@ FaultPlan::validate() const
     }
 }
 
+namespace
+{
+
+// The outage-window lists are empty by default, so they render as "".
+constexpr Knob<FaultPlan> faultKnobs[] = {
+    knob<&FaultPlan::dropProb>(
+        "fault.dropProb",
+        "per-hop in-fabric packet drop probability, [0, 1]"),
+    knob<&FaultPlan::corruptProb>(
+        "fault.corruptProb",
+        "per-hop packet corruption probability, [0, 1]"),
+    knob<&FaultPlan::maxDrops>(
+        "fault.maxDrops",
+        "stop injecting after N packets hit (-1 = unlimited)"),
+    knob<&FaultPlan::seed>("fault.seed",
+                           "fault RNG seed (0 = experiment seed)"),
+    {"fault.linkDown", "LINK@FROM[+DUR],... link outage windows",
+     [](FaultPlan &plan, const Config &conf, const char *name) {
+         for (const std::string &spec : splitList(conf.getString(name))) {
+             std::vector<long> ids;
+             LinkFault lf;
+             parseWindowSpec(spec, name, ids, lf.from, lf.until);
+             fatal_if(ids.size() != 1,
+                      "fault.linkDown: want one link index in '%s'",
+                      spec.c_str());
+             lf.link = static_cast<int>(ids[0]);
+             plan.linkDown.push_back(lf);
+         }
+     },
+     nullptr, ""},
+    {"fault.portDown",
+     "ROUTER.PORT@FROM[+DUR],... router output-port failures",
+     [](FaultPlan &plan, const Config &conf, const char *name) {
+         for (const std::string &spec : splitList(conf.getString(name))) {
+             std::vector<long> ids;
+             PortFault pf;
+             parseWindowSpec(spec, name, ids, pf.from, pf.until);
+             fatal_if(ids.size() != 2,
+                      "fault.portDown: want ROUTER.PORT in '%s'",
+                      spec.c_str());
+             pf.router = static_cast<int>(ids[0]);
+             pf.port = static_cast<int>(ids[1]);
+             plan.portDown.push_back(pf);
+         }
+     },
+     nullptr, ""},
+    knob<&FaultPlan::randomDownLinks>(
+        "fault.downLinks",
+        "additionally down N random internal links"),
+    knob<&FaultPlan::randomDownFrom>("fault.downFrom",
+                                     "random link outages start cycle"),
+    knob<&FaultPlan::randomDownFor>(
+        "fault.downFor",
+        "random link outage duration (0 = permanent)"),
+};
+
+constexpr Knob<NodeFaultPlan> nodeFaultKnobs[] = {
+    {"node.crash",
+     "NODE@FROM[+DUR],... fail-stop schedules (+DUR = downtime before "
+     "restart; none = stays dead)",
+     [](NodeFaultPlan &plan, const Config &conf, const char *name) {
+         for (const std::string &spec : splitList(conf.getString(name))) {
+             std::vector<long> ids;
+             NodeFault nf;
+             Cycle until = 0;
+             parseWindowSpec(spec, name, ids, nf.crashAt, until);
+             fatal_if(ids.size() != 1,
+                      "node.crash: want one node id in '%s'",
+                      spec.c_str());
+             nf.node = static_cast<NodeId>(ids[0]);
+             nf.restartAt = until; // 0 = never restarts
+             plan.crashes.push_back(nf);
+         }
+     },
+     nullptr, ""},
+    knob<&NodeFaultPlan::randomCrashes>("node.randomCrashes",
+                                        "crash N distinct random nodes"),
+    knob<&NodeFaultPlan::randomCrashFrom>("node.crashFrom",
+                                          "random crash-cycle window start"),
+    knob<&NodeFaultPlan::randomCrashSpan>("node.crashSpan",
+                                          "random crash-cycle window length"),
+    knob<&NodeFaultPlan::randomRestartAfter>(
+        "node.restartAfter",
+        "downtime before each random crash restarts (0 = stays dead)"),
+    knob<&NodeFaultPlan::seed>("node.seed",
+                               "endpoint-fault RNG seed (0 = experiment seed)"),
+};
+
+} // namespace
+
+constinit const KnobRows<FaultPlan> FaultPlan::knobs = faultKnobs;
+
 FaultPlan
 FaultPlan::fromConfig(const Config &conf)
 {
     FaultPlan plan;
-    plan.dropProb = conf.getDouble("fault.dropProb", 0.0);
-    plan.corruptProb = conf.getDouble("fault.corruptProb", 0.0);
-    plan.maxDrops =
-        static_cast<int>(conf.getInt("fault.maxDrops", -1));
-    plan.seed =
-        static_cast<std::uint64_t>(conf.getInt("fault.seed", 0));
-    plan.randomDownLinks =
-        static_cast<int>(conf.getInt("fault.downLinks", 0));
-    plan.randomDownFrom =
-        static_cast<Cycle>(conf.getInt("fault.downFrom", 0));
-    plan.randomDownFor =
-        static_cast<Cycle>(conf.getInt("fault.downFor", 0));
-
-    for (const std::string &spec :
-         splitList(conf.getString("fault.linkDown", ""))) {
-        std::vector<long> ids;
-        LinkFault lf;
-        parseWindowSpec(spec, "fault.linkDown", ids, lf.from,
-                        lf.until);
-        fatal_if(ids.size() != 1,
-                 "fault.linkDown: want one link index in '%s'",
-                 spec.c_str());
-        lf.link = static_cast<int>(ids[0]);
-        plan.linkDown.push_back(lf);
-    }
-    for (const std::string &spec :
-         splitList(conf.getString("fault.portDown", ""))) {
-        std::vector<long> ids;
-        PortFault pf;
-        parseWindowSpec(spec, "fault.portDown", ids, pf.from,
-                        pf.until);
-        fatal_if(ids.size() != 2,
-                 "fault.portDown: want ROUTER.PORT in '%s'",
-                 spec.c_str());
-        pf.router = static_cast<int>(ids[0]);
-        pf.port = static_cast<int>(ids[1]);
-        plan.portDown.push_back(pf);
-    }
+    readKnobs(conf, knobs, plan);
     plan.validate();
     return plan;
 }
@@ -218,34 +272,13 @@ NodeFaultPlan::validate() const
     }
 }
 
+constinit const KnobRows<NodeFaultPlan> NodeFaultPlan::knobs = nodeFaultKnobs;
+
 NodeFaultPlan
 NodeFaultPlan::fromConfig(const Config &conf)
 {
     NodeFaultPlan plan;
-    plan.randomCrashes =
-        static_cast<int>(conf.getInt("node.randomCrashes", 0));
-    plan.randomCrashFrom =
-        static_cast<Cycle>(conf.getInt("node.crashFrom", 0));
-    plan.randomCrashSpan =
-        static_cast<Cycle>(conf.getInt("node.crashSpan", 0));
-    plan.randomRestartAfter =
-        static_cast<Cycle>(conf.getInt("node.restartAfter", 0));
-    plan.seed =
-        static_cast<std::uint64_t>(conf.getInt("node.seed", 0));
-
-    for (const std::string &spec :
-         splitList(conf.getString("node.crash", ""))) {
-        std::vector<long> ids;
-        NodeFault nf;
-        Cycle until = 0;
-        parseWindowSpec(spec, "node.crash", ids, nf.crashAt, until);
-        fatal_if(ids.size() != 1,
-                 "node.crash: want one node id in '%s'",
-                 spec.c_str());
-        nf.node = static_cast<NodeId>(ids[0]);
-        nf.restartAt = until; // 0 = never restarts
-        plan.crashes.push_back(nf);
-    }
+    readKnobs(conf, knobs, plan);
     plan.validate();
     return plan;
 }

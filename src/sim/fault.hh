@@ -38,13 +38,13 @@
 #include <vector>
 
 #include "sim/kernel.hh"
+#include "sim/knob.hh"
 #include "sim/rng.hh"
 #include "sim/types.hh"
 
 namespace nifdy
 {
 
-class Config;
 class Channel;
 class Network;
 struct Flit;
@@ -107,14 +107,12 @@ struct FaultPlan
     /** Fatal on out-of-range knobs (probabilities, negative ids). */
     void validate() const;
 
-    /**
-     * Parse the fault.* keys of @p conf:
-     *   fault.dropProb fault.corruptProb fault.maxDrops fault.seed
-     *   fault.linkDown=LINK@FROM[+DUR][,...]
-     *   fault.portDown=ROUTER.PORT@FROM[+DUR][,...]
-     *   fault.downLinks fault.downFrom fault.downFor
-     * Absent keys keep their defaults (an empty plan).
-     */
+    /** The fault.* knob table (fault.linkDown takes
+     * LINK@FROM[+DUR][,...], fault.portDown ROUTER.PORT@FROM[+DUR]). */
+    static const KnobRows<FaultPlan> knobs;
+
+    /** Read the fault.* keys of @p conf through knobs, then
+     * validate. Absent keys keep their defaults (an empty plan). */
     static FaultPlan fromConfig(const Config &conf);
 
     /** One-line human-readable summary. */
@@ -163,13 +161,12 @@ struct NodeFaultPlan
      * restart before crash, random crashes without a span). */
     void validate() const;
 
-    /**
-     * Parse the node.* keys of @p conf:
-     *   node.crash=NODE@FROM[+DUR][,...]
-     *   node.randomCrashes node.crashFrom node.crashSpan
-     *   node.restartAfter node.seed
-     * Absent keys keep their defaults (an empty plan).
-     */
+    /** The node.* knob table (node.crash takes
+     * NODE@FROM[+DUR][,...]). */
+    static const KnobRows<NodeFaultPlan> knobs;
+
+    /** Read the node.* keys of @p conf through knobs, then
+     * validate. Absent keys keep their defaults (an empty plan). */
     static NodeFaultPlan fromConfig(const Config &conf);
 
     /**

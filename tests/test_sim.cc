@@ -168,6 +168,51 @@ TEST(Config, ParseArgs)
     EXPECT_EQ(left[0], "stray");
 }
 
+TEST(Config, UnreadKeyIsFatalWithDidYouMean)
+{
+    Config c;
+    const char *argv[] = {"prog", "nodez=16", "cycles=100"};
+    c.parseArgs(3, const_cast<char **>(argv));
+    EXPECT_EQ(c.getInt("nodes", 64), 64);
+    EXPECT_EQ(c.getInt("cycles", 0), 100);
+    try {
+        c.requireAllRead();
+        FAIL() << "unread key accepted";
+    } catch (const std::runtime_error &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("'nodez'"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("did you mean 'nodes'"), std::string::npos)
+            << msg;
+        EXPECT_EQ(msg.find("'cycles'"), std::string::npos) << msg;
+    }
+}
+
+TEST(Config, SetThenReadKeysPass)
+{
+    Config c;
+    c.set("topology", std::string("cm5"));
+    c.set("nodes", 16L);
+    EXPECT_EQ(c.getString("topology", "fattree"), "cm5");
+    EXPECT_EQ(c.getInt("nodes"), 16);
+    EXPECT_NO_THROW(c.requireAllRead());
+    // Overwriting a key makes the new value unread again.
+    c.set("nodes", 32L);
+    EXPECT_THROW(c.requireAllRead(), std::runtime_error);
+    EXPECT_TRUE(c.has("nodes")); // has() is not a read
+    EXPECT_THROW(c.requireAllRead(), std::runtime_error);
+    EXPECT_EQ(c.getInt("nodes", 0), 32);
+    EXPECT_NO_THROW(c.requireAllRead());
+}
+
+TEST(Config, AskedKeysIncludeAbsentOnes)
+{
+    Config c;
+    c.set("a", 1L);
+    c.getInt("a");
+    c.getInt("b", 2);
+    EXPECT_EQ(c.askedKeys(), (std::vector<std::string>{"a", "b"}));
+}
+
 TEST(Config, BooleanSpellings)
 {
     Config c;
