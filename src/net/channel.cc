@@ -1,6 +1,9 @@
 #include "net/channel.hh"
 
+#include <algorithm>
+
 #include "sim/congestion.hh"
+#include "sim/kernel.hh"
 #include "sim/log.hh"
 
 namespace nifdy
@@ -10,6 +13,21 @@ Channel::Channel(const ChannelParams &params) : params_(params)
 {
     panic_if(params_.cyclesPerFlit < 1, "cyclesPerFlit must be >= 1");
     panic_if(params_.latency < 0, "negative channel latency");
+}
+
+void
+Channel::setConsumer(Steppable *consumer)
+{
+    consumer_ = consumer;
+    // The slowest flit lands serialization + latency cycles out.
+    consumer->reserveWakeReach(
+        static_cast<Cycle>(classRate(NetClass::request) + params_.latency));
+}
+
+void
+Channel::setProducer(Steppable *producer)
+{
+    producer_ = producer; // credits land one cycle out
 }
 
 int
@@ -40,6 +58,15 @@ Channel::addDownWindow(Cycle from, Cycle until)
     down_.push_back({from, until});
 }
 
+Cycle
+Channel::pushReadyAt(NetClass cls, Cycle now) const
+{
+    if (downAt(now))
+        return now + 1;
+    int slot = params_.timeSliced ? static_cast<int>(cls) : 0;
+    return std::max(nextFree_[slot], now + 1);
+}
+
 bool
 Channel::downAt(Cycle now) const
 {
@@ -59,6 +86,8 @@ Channel::push(const Flit &flit, Cycle now)
     nextFree_[slot] = now + classRate(cls);
     Cycle arrival = now + classRate(cls) + params_.latency;
     flits_.push_back({arrival, flit}); // nifdy:alloc-ok(Ring grows to high-water then reuses)
+    if (consumer_)
+        consumer_->wakeAt(arrival);
     ++totalFlits_;
     ++classFlits_[static_cast<int>(cls)];
     congestion::onLinkFlit(this, flit, now);
@@ -88,6 +117,8 @@ NIFDY_HOT void
 Channel::pushCredit(int vc, Cycle now)
 {
     credits_.push_back({now + 1, vc}); // nifdy:alloc-ok(Ring grows to high-water then reuses)
+    if (producer_)
+        producer_->wakeAt(now + 1);
 }
 
 NIFDY_HOT bool

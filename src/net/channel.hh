@@ -13,6 +13,11 @@
  * Everything pushed during cycle t becomes visible to the consumer
  * no earlier than cycle t+1, which makes intra-cycle component
  * ordering immaterial.
+ *
+ * A channel knows the component at each end: push() wakes the flit
+ * consumer at the flit's arrival cycle and pushCredit() wakes the
+ * flit producer (the credit's consumer) at the next cycle, so both
+ * may sleep while the channel is quiet (sim/kernel.hh).
  */
 
 #ifndef NIFDY_NET_CHANNEL_HH
@@ -26,6 +31,8 @@
 
 namespace nifdy
 {
+
+class Steppable;
 
 /** Static channel configuration. */
 struct ChannelParams
@@ -48,6 +55,14 @@ class Channel
 {
   public:
     explicit Channel(const ChannelParams &params);
+
+    //! @name Endpoints (woken by the channel; may be unset)
+    //! @{
+    /** The component that pops flits and returns credits. */
+    void setConsumer(Steppable *consumer);
+    /** The component that pushes flits and absorbs credits. */
+    void setProducer(Steppable *producer);
+    //! @}
 
     //! @name Sender side
     //! @{
@@ -124,7 +139,16 @@ class Channel
     void addDownWindow(Cycle from, Cycle until);
     /** Is the link inside a down window at cycle @p now? */
     bool downAt(Cycle now) const;
+    /** Does the link have any down window at all? */
+    bool hasDownWindows() const { return !down_.empty(); }
     //! @}
+
+    /**
+     * Earliest cycle after @p now at which canPush(@p cls) may turn
+     * true without any other component acting: the serializer's
+     * free cycle, or now + 1 while the link is down.
+     */
+    Cycle pushReadyAt(NetClass cls, Cycle now) const;
 
   private:
     int classRate(NetClass cls) const;
@@ -145,6 +169,8 @@ class Channel
     std::uint64_t totalFlits_ = 0;
     std::uint64_t classFlits_[numNetClasses] = {0, 0};
     int capacityFlits_ = 0;
+    Steppable *consumer_ = nullptr;
+    Steppable *producer_ = nullptr;
 };
 
 } // namespace nifdy

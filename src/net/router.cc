@@ -1,5 +1,7 @@
 #include "net/router.hh"
 
+#include <algorithm>
+
 #include "sim/anatomy.hh"
 #include "sim/audit.hh"
 #include "sim/congestion.hh"
@@ -25,6 +27,7 @@ Router::addInPort(Channel *ch)
     p.ch = ch;
     p.vcs.resize(numVCs_);
     ins_.push_back(std::move(p));
+    ch->setConsumer(this);
     return static_cast<int>(ins_.size()) - 1;
 }
 
@@ -37,6 +40,7 @@ Router::addOutPort(Channel *ch, int depth)
     p.owner.assign(numVCs_, -1);
     // The credit discipline bounds what this channel can carry.
     ch->setCapacityFlits(numVCs_ * depth);
+    ch->setProducer(this);
     outs_.push_back(std::move(p));
     return static_cast<int>(outs_.size()) - 1;
 }
@@ -50,6 +54,15 @@ Router::creditsAvailable(int outPort, NetClass cls) const
     for (int v = 0; v < params_.vcsPerClass; ++v)
         total += op.credits[base + v];
     return total;
+}
+
+bool
+Router::anyOutDownWindows() const
+{
+    for (const OutPort &op : outs_)
+        if (op.ch->hasDownWindows())
+            return true;
+    return false;
 }
 
 int
@@ -109,20 +122,40 @@ Router::step(Cycle now)
         }
     }
 
-    if (bufferedFlits_ == 0)
+    if (bufferedFlits_ == 0) {
+        // Nothing to forward until a flit arrives, and its channel
+        // wakes us when it does.
+        sleepUntil(neverCycle);
         return;
+    }
 
     // Route computation + VC allocation for fresh head flits.
+    Anatomy *anat = anatomy::sink();
+    bool allocBlocked = false;
     for (int p = 0; p < static_cast<int>(ins_.size()); ++p) {
         for (int v = 0; v < numVCs_; ++v) {
             VirtChan &vc = ins_[p].vcs[v];
             if (!vc.active && !vc.buf.empty() &&
-                vc.buf.front().head && !tryAllocate(p, v, now))
-                anatomy::onArbLoss(*vc.buf.front().pkt, now);
+                vc.buf.front().head && !tryAllocate(p, v, now)) {
+                allocBlocked = true;
+                if (anat)
+                    anat->onArbLoss(*vc.buf.front().pkt, now);
+            }
         }
     }
 
-    switchPass(now);
+    CongestionObserver *cong = congestion::sink();
+    const Cycle ready = switchPass(now, cong);
+    if (bufferedFlits_ == 0) {
+        sleepUntil(neverCycle);
+        return;
+    }
+    // Stepping again before `ready` would be a no-op, unless an
+    // observer wants its per-cycle stall hooks or a blocked head
+    // waits out a link outage. Flits and credits wake us on arrival.
+    if (anat || cong || (allocBlocked && anyOutDownWindows()))
+        return;
+    sleepUntil(ready);
 }
 
 NIFDY_HOT bool
@@ -196,11 +229,12 @@ Router::tryAllocate(int inPort, int vcIdx, Cycle now)
         return false;
 
     vc.active = true;
+    vc.cls = cls;
     vc.outPort = bestPort;
     vc.outVC = bestVC;
     outs_[bestPort].owner[bestVC] = inVcId(inPort, vcIdx);
     outs_[bestPort].reqs.push_back( // nifdy:alloc-ok(vector capacity persists at numVCs high-water)
-        inVcId(inPort, vcIdx));
+        {inPort, vcIdx});
     onAllocate(pkt, bestPort, bestVC % params_.vcsPerClass);
     audit::onHop(pkt, id_);
     trace::onHop(pkt, id_, now);
@@ -208,40 +242,43 @@ Router::tryAllocate(int inPort, int vcIdx, Cycle now)
     return true;
 }
 
-NIFDY_HOT void
-Router::switchPass(Cycle now)
+NIFDY_HOT Cycle
+Router::switchPass(Cycle now, CongestionObserver *cong)
 {
-    // Input-port crossbar constraint: one departure per input port
-    // per cycle.
-    std::vector<char> &inUsed = inUsedScratch_;
-    inUsed.assign(ins_.size(), 0); // nifdy:alloc-ok(member scratch; capacity persists after first cycle)
-
+    Cycle ready = neverCycle;
     for (int op = 0; op < static_cast<int>(outs_.size()); ++op) {
         OutPort &out = outs_[op];
-        int nReqs = static_cast<int>(out.reqs.size());
+        const int nReqs = static_cast<int>(out.reqs.size());
         if (nReqs == 0)
             continue;
         // Round-robin over the input VCs routed to this output.
-        for (int k = 0; k < nReqs; ++k) {
-            int slot = (out.rr + k) % nReqs;
-            int ivc = out.reqs[slot];
-            int p = ivc / numVCs_;
-            int v = ivc % numVCs_;
-            if (inUsed[p])
+        int slot = out.rr % nReqs;
+        for (int k = 0; k < nReqs; ++k, ++slot) {
+            if (slot == nReqs)
+                slot = 0;
+            const InVcRef ref = out.reqs[slot];
+            InPort &in = ins_[ref.port];
+            // Input-port crossbar constraint: one departure per
+            // input port per cycle; next cycle this one may go.
+            if (in.usedAt == now) {
+                ready = now + 1;
                 continue;
-            VirtChan &vc = ins_[p].vcs[v];
+            }
+            VirtChan &vc = in.vcs[ref.vc];
             if (vc.buf.empty())
                 continue;
             if (out.credits[vc.outVC] <= 0) {
-                congestion::onLinkStall(out.ch, now);
+                if (cong)
+                    cong->onLinkStall(out.ch, now);
+                continue;
+            }
+            if (!out.ch->canPush(vc.cls, now)) {
+                if (cong)
+                    cong->onLinkStall(out.ch, now);
+                ready = std::min(ready, out.ch->pushReadyAt(vc.cls, now));
                 continue;
             }
             Flit &front = vc.buf.front();
-            NetClass cls = front.pkt->netClass;
-            if (!out.ch->canPush(cls, now)) {
-                congestion::onLinkStall(out.ch, now);
-                continue;
-            }
             if (params_.storeAndForward && front.head) {
                 // The whole packet must be buffered before the head
                 // may leave.
@@ -253,7 +290,8 @@ Router::switchPass(Cycle now)
                     }
                 }
                 if (!tailHere) {
-                    congestion::onLinkStall(out.ch, now);
+                    if (cong)
+                        cong->onLinkStall(out.ch, now);
                     continue;
                 }
             }
@@ -265,7 +303,7 @@ Router::switchPass(Cycle now)
             out.ch->push(f, now);
             --out.credits[vc.outVC];
             // Return the freed input buffer slot upstream.
-            ins_[p].ch->pushCredit(v, now);
+            in.ch->pushCredit(ref.vc, now);
             ++flitsSwitched_;
             if (kernel_)
                 kernel_->noteActivity();
@@ -275,12 +313,21 @@ Router::switchPass(Cycle now)
                 vc.outPort = -1;
                 vc.outVC = -1;
                 out.reqs.erase(out.reqs.begin() + slot);
+                // The freed output VC and this input VC's next head
+                // are allocated next cycle.
+                ready = now + 1;
             }
-            inUsed[p] = 1;
+            in.usedAt = now;
             out.rr = slot + 1;
+            // Requests not yet scanned wait for this output's
+            // serializers.
+            for (int c = 0; c < numNetClasses; ++c)
+                ready = std::min(ready, out.ch->pushReadyAt(
+                                            static_cast<NetClass>(c), now));
             break; // this output port is busy now
         }
     }
+    return ready;
 }
 
 } // namespace nifdy

@@ -13,6 +13,10 @@
  *
  * The two logical networks (request/reply) are disjoint VC classes:
  * a packet only ever occupies VCs of its own class.
+ *
+ * An empty router sleeps until a flit or credit wakes it; one that
+ * holds flits sleeps until the earliest serializer slot among its
+ * blocked or just-served outputs (sim/kernel.hh).
  */
 
 #ifndef NIFDY_NET_ROUTER_HH
@@ -29,6 +33,7 @@
 namespace nifdy
 {
 
+class CongestionObserver;
 class FaultInjector;
 
 /** Static router configuration. */
@@ -140,6 +145,7 @@ class Router : public Steppable
     {
         Ring<Flit> buf;
         bool active = false; //!< owns a route for the packet in buf
+        NetClass cls = NetClass::request; //!< routed packet's class
         int outPort = -1;
         int outVC = -1;
     };
@@ -148,6 +154,16 @@ class Router : public Steppable
     {
         Channel *ch = nullptr;
         std::vector<VirtChan> vcs;
+        /** Last cycle a flit departed from this port (one departure
+         * per input port per cycle). */
+        Cycle usedAt = neverCycle;
+    };
+
+    /** An input VC, as (inPort, vc). */
+    struct InVcRef
+    {
+        int port;
+        int vc;
     };
 
     struct OutPort
@@ -155,7 +171,7 @@ class Router : public Steppable
         Channel *ch = nullptr;
         std::vector<int> credits; //!< per downstream VC
         std::vector<int> owner;   //!< per VC: owning input VC id or -1
-        std::vector<int> reqs;    //!< input VCs currently routed here
+        std::vector<InVcRef> reqs; //!< input VCs currently routed here
         int rr = 0;               //!< round-robin arbitration pointer
     };
 
@@ -163,7 +179,12 @@ class Router : public Steppable
     int inVcId(int port, int vc) const { return port * numVCs_ + vc; }
 
     bool tryAllocate(int inPort, int vc, Cycle now);
-    void switchPass(Cycle now);
+    /** Forward at most one flit per output port. @return the
+     * earliest cycle at which, without a flit or credit arriving,
+     * another pass could forward anything (neverCycle if never). */
+    Cycle switchPass(Cycle now, CongestionObserver *cong);
+    /** Does any output link have a down window? */
+    bool anyOutDownWindows() const;
 
     int id_;
     RouterParams params_;
@@ -175,10 +196,6 @@ class Router : public Steppable
     Kernel *kernel_ = nullptr;
     FaultInjector *faults_ = nullptr;
     std::vector<int> candidateScratch_;
-    /** Per-cycle switch scratch: one departure per input port. A
-     * member (not function-local static) so routers stay re-entrant
-     * and free of hidden mutable state. */
-    std::vector<char> inUsedScratch_;
 };
 
 } // namespace nifdy

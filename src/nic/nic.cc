@@ -1,5 +1,7 @@
 #include "nic/nic.hh"
 
+#include <algorithm>
+
 #include "coll/coll.hh"
 #include "sim/anatomy.hh"
 #include "sim/audit.hh"
@@ -23,6 +25,8 @@ Nic::Nic(NodeId node, const Network::NodePorts &ports,
     // channel's bound is stamped by Router::addOutPort.
     ports_.inject->setCapacityFlits(numNetClasses * params_.vcsPerClass *
                                     ports_.injectDepth);
+    ports_.inject->setProducer(this);
+    ports_.eject->setConsumer(this);
 }
 
 NIFDY_HOT Packet *
@@ -40,6 +44,7 @@ Nic::pollReceive(Cycle now)
     arrivals_.pop_front();
     anatomy::onAccept(*pkt, now);
     onProcessorAccept(pkt, now);
+    wake();
     return pkt;
 }
 
@@ -76,13 +81,24 @@ Nic::step(Cycle now)
     if (coll_ && !crashed_)
         coll_->pump(now);
     pumpEject(now);
-    pumpInject(now);
+    const Cycle ready = pumpInject(now);
+    // Ejection needs no deadline: a head blocked on a full arrivals
+    // FIFO waits for pollReceive(), which wakes us. The collective
+    // engine keeps its own timers, so it pins the NIC awake.
+    if (ready > now + 1 && !coll_)
+        sleepUntil(std::min(ready, quietUntil(now)));
 }
 
 void
 Nic::classifyStalls(Cycle now)
 {
     (void)now;
+}
+
+Cycle
+Nic::quietUntil(Cycle now) const
+{
+    return now + 1;
 }
 
 void
@@ -145,6 +161,7 @@ Nic::crash(Cycle now)
     onCrash(now);
     if (coll_)
         coll_->onCrash(now);
+    wake();
 }
 
 void
@@ -158,6 +175,7 @@ Nic::restart(Cycle now)
     onRestart(now);
     if (coll_)
         coll_->onRestart(now);
+    wake();
 }
 
 NIFDY_HOT bool
@@ -218,29 +236,46 @@ Nic::pushArrival(Packet *pkt, Cycle now)
     latency_.sample(now - pkt->createdAt);
 }
 
-NIFDY_HOT void
+NIFDY_HOT Cycle
 Nic::pumpInject(Cycle now)
 {
     Channel *ch = ports_.inject;
     while (ch->hasCredit(now))
         ++injectCredits_[ch->popCredit(now)];
 
+    // Turn the pointer for every cycle slept through since the last
+    // step, as if the NIC had been stepped in each.
+    if (now > rrNext_)
+        injectRR_ = static_cast<int>(
+            (static_cast<Cycle>(injectRR_) + (now - rrNext_)) %
+            numNetClasses);
+    rrNext_ = now + 1;
+
+    CongestionObserver *cong = congestion::sink();
+    Cycle ready = neverCycle;
+    bool pushed = false;
     for (int k = 0; k < numNetClasses; ++k) {
         int cls = (injectRR_ + k) % numNetClasses;
         NetClass nc = static_cast<NetClass>(cls);
+        // Only a mid-wormhole packet is demonstrably blocked on the
+        // link; an empty stream may simply have nothing to send this
+        // cycle. A blocked one keeps the NIC awake while the
+        // congestion observer counts its stall cycles.
         if (!ch->canPush(nc, now)) {
-            // Only a mid-wormhole packet is demonstrably blocked on
-            // the link; an empty stream may simply have nothing to
-            // send this cycle.
-            if (outStream_[cls].pkt)
-                congestion::onLinkStall(ch, now);
+            if (outStream_[cls].pkt && cong) {
+                cong->onLinkStall(ch, now);
+                ready = now + 1;
+            }
+            ready = std::min(ready, ch->pushReadyAt(nc, now));
             continue;
         }
         int vc = cls * params_.vcsPerClass;
         if (injectCredits_[vc] <= 0) {
-            if (outStream_[cls].pkt)
-                congestion::onLinkStall(ch, now);
-            continue;
+            if (outStream_[cls].pkt && cong) {
+                cong->onLinkStall(ch, now);
+                ready = now + 1;
+            }
+            continue; // the credit's arrival wakes us
         }
         OutStream &os = outStream_[cls];
         if (!os.pkt) {
@@ -254,7 +289,7 @@ Nic::pumpInject(Cycle now)
                     os.pkt = nextToInject(nc, now);
             }
             if (!os.pkt)
-                continue;
+                continue; // quietUntil() bounds the wait
             panic_if(os.pkt->netClass != nc,
                      "nextToInject returned wrong class");
             os.totalFlits = os.pkt->numFlits(params_.flitBytes);
@@ -283,10 +318,18 @@ Nic::pumpInject(Cycle now)
         --injectCredits_[vc];
         --os.flitsLeft;
         noteActivity();
+        pushed = true;
         if (f.tail)
             os = OutStream();
     }
     injectRR_ = (injectRR_ + 1) % numNetClasses;
+    // A push may have changed what the other class can send (pool
+    // rank, OPT), so recheck every class once its serializer frees.
+    if (pushed)
+        for (int c = 0; c < numNetClasses; ++c)
+            ready = std::min(ready,
+                             ch->pushReadyAt(static_cast<NetClass>(c), now));
+    return ready;
 }
 
 NIFDY_HOT void

@@ -9,6 +9,11 @@
  * incoming flits per virtual channel -- and defers protocol policy
  * (which packet to inject next, what to do with a delivered packet)
  * to subclasses: PlainNic, BufferedNic, NifdyNic.
+ *
+ * Each step may put the NIC to sleep until the injection link can
+ * next take a flit or the subclass's quietUntil() deadline,
+ * whichever is first; flits, credits and the processor-side calls
+ * wake it (sim/kernel.hh).
  */
 
 #ifndef NIFDY_NIC_NIC_HH
@@ -59,7 +64,8 @@ class Nic : public Steppable
     /** Next received packet without removing it (nullptr if none). */
     Packet *peekReceive();
 
-    /** Pop the next received packet (nullptr if none). */
+    /** Pop the next received packet (nullptr if none). Wakes the
+     * NIC: a freed FIFO slot may unblock ejection. */
     Packet *pollReceive(Cycle now);
 
     /** Packets waiting in the arrivals FIFO. */
@@ -183,6 +189,15 @@ class Nic : public Steppable
     virtual void onRestart(Cycle now);
 
     /**
+     * Sleep bound: the NIC is stepped again no later than the
+     * returned cycle even if no flit, credit or processor call
+     * wakes it. The default, now + 1, keeps the NIC stepped every
+     * cycle; a subclass returns a later cycle only when its own
+     * state cannot change before then.
+     */
+    virtual Cycle quietUntil(Cycle now) const;
+
+    /**
      * Latency-anatomy hook: attribute every queued-but-not-injected
      * data packet to its current StallCause (anatomy::onStall).
      * Called once per cycle from step(), only while an Anatomy sink
@@ -237,7 +252,11 @@ class Nic : public Steppable
     void crashDiscard(Packet *pkt, Cycle now, const char *why);
 
   private:
-    void pumpInject(Cycle now);
+    /** Inject at most one flit per class. @return the earliest
+     * cycle at which, without a credit or wake-up arriving, another
+     * pump could inject: a serializer's free cycle, or neverCycle
+     * when every class waits on a credit or on an empty queue. */
+    Cycle pumpInject(Cycle now);
     void pumpEject(Cycle now);
 
     /** canAccept(), unless crashed: then accept unconditionally and
@@ -262,7 +281,12 @@ class Nic : public Steppable
         int totalFlits = 0;
     };
     OutStream outStream_[numNetClasses];
-    int injectRR_ = 0; //!< class round-robin pointer
+    /** Class round-robin pointer; turns once per cycle, including
+     * the cycles the NIC sleeps through. */
+    int injectRR_ = 0;
+    /** The cycle injectRR_ is current for (neverCycle before the
+     * first step). */
+    Cycle rrNext_ = neverCycle;
     //! @}
 
     //! @name Ejection state

@@ -52,6 +52,7 @@ NifdyNic::send(Packet *pkt, Cycle now)
     trace::onSend(*pkt, node_, now);
     anatomy::onSend(*pkt, now);
     sendPool_.push_back({pkt, poolOrder_++});
+    wake();
     // Record a deferral when protocol admission (OPT slot, window
     // room, per-destination order) cannot be immediate; the matching
     // opt.admit/window.admit event closes the gap on the timeline.
@@ -933,6 +934,18 @@ NifdyNic::classifyStalls(Cycle now)
         const PoolEntry &e = sendPool_[i];
         anatomy::onStall(*e.pkt, poolStallCause(e, i), now);
     }
+}
+
+Cycle
+NifdyNic::quietUntil(Cycle now) const
+{
+    if (reclaimTimeout_ > 0 || (anatomy::active() && !sendPool_.empty()))
+        return now + 1;
+    Cycle at = neverCycle;
+    for (const Packet *ack : ackQueue_)
+        if (ack->holdUntil > now)
+            at = std::min(at, ack->holdUntil);
+    return at;
 }
 
 StallCause

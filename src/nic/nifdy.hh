@@ -334,6 +334,14 @@ class NifdyNic : public Nic
      * to the wrong protocol mechanism.
      */
     void classifyStalls(Cycle now) override;
+
+    /**
+     * Nothing changes on its own before the next ack-hold deadline:
+     * every other input (acks, sends, FIFO pops) arrives through a
+     * wake-up. Stepped every cycle instead while reclaim timeouts
+     * run, or while the latency anatomy attributes pooled packets.
+     */
+    Cycle quietUntil(Cycle now) const override;
     StallCause poolStallCause(const PoolEntry &e,
                               std::size_t idx) const;
     /** injectStall, unless the slot is held by a priority

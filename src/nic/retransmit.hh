@@ -105,6 +105,8 @@ class LossyNifdyNic : public NifdyNic
     void onPeerRestart(NodeId peer, Cycle now) override;
     void onBulkTeardown(NodeId peer, Cycle now) override;
     void onPeerDead(NodeId peer, Cycle now) override;
+    /** Retransmission timers are checked every cycle. */
+    Cycle quietUntil(Cycle now) const override { return now + 1; }
 
   private:
     struct Snapshot

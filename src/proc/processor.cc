@@ -15,22 +15,30 @@ void
 Processor::setOffline(bool offline, Cycle now)
 {
     offline_ = offline;
-    if (offline)
-        busyUntil_ = now; // whatever it was computing dies with it
+    if (offline) {
+        // Whatever it was computing dies with it.
+        busyUntil_ = now;
+        holdActive(now);
+    }
+    wake();
 }
 
 NIFDY_HOT void
 Processor::step(Cycle now)
 {
-    if (offline_)
+    if (offline_ || !workload_) {
+        sleepUntil(neverCycle); // setOffline()/setWorkload() wake us
         return;
+    }
     if (busy(now)) {
         if (kernel_)
             kernel_->noteActivity();
-        return;
-    }
-    if (workload_)
+    } else {
         workload_->tick(now);
+    }
+    // A busy cycle only notes activity, which holdActive() already
+    // accounts for, so sleep through the rest of the busy period.
+    sleepUntil(busyUntil_);
 }
 
 void
@@ -43,6 +51,7 @@ Processor::compute(Cycle cycles, Cycle now)
     cyclesBusy_ += cycles;
     if (kernel_)
         kernel_->noteActivity();
+    holdActive(busyUntil_);
 }
 
 bool

@@ -4,6 +4,10 @@
  * sending, receiving, and polling (paper Table 2 / Section 2.4.3)
  * and drives a Workload whenever it is not busy. Message reception
  * is by polling only, as in the paper's simulator.
+ *
+ * A busy, offline or workload-less processor sleeps (sim/kernel.hh);
+ * the busy cycles still count as activity for the kernel's deadlock
+ * watchdog, exactly as if each had been stepped.
  */
 
 #ifndef NIFDY_PROC_PROCESSOR_HH
@@ -35,7 +39,11 @@ class Processor : public Steppable
     const char *profileClass() const override { return "proc"; }
 
     /** Attach the workload driving this processor (non-owning). */
-    void setWorkload(Workload *w) { workload_ = w; }
+    void setWorkload(Workload *w)
+    {
+        workload_ = w;
+        wake();
+    }
 
     /**
      * Take the processor offline (its node crashed) or bring it

@@ -10,14 +10,15 @@
  * plain-nic / proc / fault-driver) and by kernel phase (audit poll,
  * metrics snapshot, trace emit, kernel self time) -- and keeps an
  * idle-work account: the fraction of step() calls that made no
- * observable progress per component, the number that quantifies the
- * idle-skipping headroom directly.
+ * observable progress per component. Only the steps the
+ * activity-driven kernel takes are counted; a sleeping component
+ * accrues none (DESIGN.md section 12.1).
  *
  * Cost model mirrors the anatomy layer (anatomy.hh): the kernel's
  * hot loop pays one pointer test while no profiler is attached
  * (profile.enabled defaults to off), so profile-off runs produce
- * byte-identical reports. When attached, progress/idle counters run
- * every cycle (they are deterministic and appear in the normal
+ * byte-identical reports. When attached, progress/idle counters
+ * cover every step (they are deterministic and appear in the normal
  * report metrics), but the host clock is only read on every
  * profile.interval-th cycle ("timed cycles"), bounding the overhead.
  *
@@ -82,7 +83,7 @@ struct ProfileConfig
     /** Master switch; off = no sink, hooks cost one pointer test. */
     bool enabled = false;
     /** Cycles between host-clock samples (timed cycles); the
-     * deterministic step/idle counters always run every cycle. */
+     * deterministic step/idle counters cover every step taken. */
     Cycle interval = 32;
 
     /** Panic on out-of-range values. */
@@ -191,7 +192,7 @@ class Profiler
     }
     /** Host ns charged to components of class @p c (timed cycles). */
     std::uint64_t classNs(std::size_t c) const;
-    /** step() calls on components of class @p c (every cycle). */
+    /** step() calls the kernel made on components of class @p c. */
     std::uint64_t classSteps(std::size_t c) const;
     /** ...of which made no observable progress. */
     std::uint64_t classIdleSteps(std::size_t c) const;
