@@ -95,11 +95,17 @@ BM_LoadedSystemCycle(benchmark::State &state)
                                exp.numNodes(),
                                SyntheticParams::heavy(), 1));
     exp.runFor(5000); // warm up into steady state
+    // The simulated rate comes from a fixed, untimed window, so it
+    // does not depend on how many iterations the timer picks.
+    constexpr Cycle rateWindow = 5000;
+    const std::uint64_t before = exp.packetsDelivered();
+    exp.runFor(rateWindow);
+    const double pktsPerKcycle =
+        double(exp.packetsDelivered() - before) * 1000.0 / rateWindow;
     for (auto _ : state)
         exp.kernel().step();
     state.SetItemsProcessed(state.iterations());
-    state.counters["pkts/kcycle"] = benchmark::Counter(
-        exp.packetsDelivered() * 1000.0 / exp.kernel().now());
+    state.counters["pkts/kcycle"] = benchmark::Counter(pktsPerKcycle);
 }
 BENCHMARK(BM_LoadedSystemCycle)->Arg(0)->Arg(1);
 

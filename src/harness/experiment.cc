@@ -252,6 +252,7 @@ Experiment::Experiment(const ExperimentConfig &cfg) : cfg_(cfg)
         if (ac.seed == 0)
             ac.seed = cfg_.seed;
         anatomy_ = std::make_unique<Anatomy>(ac, cfg_.numNodes);
+        anatomy_->setClonesShareRecords(cfg_.nicKind == NicKind::lossy);
         if (audit_)
             audit_->add(
                 makeAnatomyConservationChecker(anatomy_.get()));
@@ -263,7 +264,7 @@ Experiment::Experiment(const ExperimentConfig &cfg) : cfg_(cfg)
             cfg_.congestion, cfg_.numNodes);
         congestion_->attach(*net_);
         // Registered after every traffic-moving component so its
-        // per-cycle link-state tiling sees the cycle's final state.
+        // window closes see the cycle's final link state.
         kernel_.add(congestion_.get(), "congestion");
         if (audit_)
             audit_->add(

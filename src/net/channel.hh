@@ -94,17 +94,31 @@ class Channel
     int inFlight() const { return static_cast<int>(flits_.size()); }
 
     /**
-     * Is any serializer slot occupied at cycle @p now? A flit pushed
-     * at cycle t holds its slot through t + cyclesPerFlit - 1, so
-     * this is true for exactly the cycles the link is transmitting
-     * (the congestion observatory's "busy" state).
+     * First cycle from which no serializer slot is occupied: a flit
+     * pushed at cycle t holds its slot through t + cyclesPerFlit - 1
+     * (doubled when time-sliced), so the link is transmitting -- the
+     * congestion observatory's "busy" state -- in every cycle before
+     * this one since the last push.
      */
-    bool busyAt(Cycle now) const
+    Cycle busyUntil() const
     {
+        Cycle until = 0;
         for (Cycle f : nextFree_)
-            if (f > now)
-                return true;
-        return false;
+            until = f > until ? f : until;
+        return until;
+    }
+
+    /**
+     * Flits in flight at the end of cycle @p now: those not yet
+     * popped minus those already due, since the consumer pops every
+     * flit in its arrival cycle.
+     */
+    int inFlightAt(Cycle now) const
+    {
+        std::size_t due = 0;
+        while (due < flits_.size() && flits_[due].first <= now)
+            ++due;
+        return static_cast<int>(flits_.size() - due);
     }
 
     /**

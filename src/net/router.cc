@@ -124,7 +124,8 @@ Router::step(Cycle now)
 
     if (bufferedFlits_ == 0) {
         // Nothing to forward until a flit arrives, and its channel
-        // wakes us when it does.
+        // wakes us when it does. Every output's stall level is down:
+        // the pass that emptied us saw no refused request.
         sleepUntil(neverCycle);
         return;
     }
@@ -150,10 +151,14 @@ Router::step(Cycle now)
         sleepUntil(neverCycle);
         return;
     }
-    // Stepping again before `ready` would be a no-op, unless an
-    // observer wants its per-cycle stall hooks or a blocked head
-    // waits out a link outage. Flits and credits wake us on arrival.
-    if (anat || cong || (allocBlocked && anyOutDownWindows()))
+    // Stepping again before `ready` would be a no-op: the same heads
+    // would fail allocation (re-stamping an unchanged anatomy cause)
+    // and the same outputs stay stalled (the published level holds).
+    // Not so while a blocked head waits out a link outage, or while
+    // a retransmission clone may move the record a blocked head
+    // keeps re-stamping. Flits and credits wake us on arrival.
+    if (allocBlocked &&
+        (anyOutDownWindows() || (anat && anat->clonesShareRecords())))
         return;
     sleepUntil(ready);
 }
@@ -249,10 +254,11 @@ Router::switchPass(Cycle now, CongestionObserver *cong)
     for (int op = 0; op < static_cast<int>(outs_.size()); ++op) {
         OutPort &out = outs_[op];
         const int nReqs = static_cast<int>(out.reqs.size());
-        if (nReqs == 0)
-            continue;
+        // A request that wants this output and is refused (no
+        // credit, busy serializer, SAF tail wait) stalls the link.
+        bool stalled = false;
         // Round-robin over the input VCs routed to this output.
-        int slot = out.rr % nReqs;
+        int slot = nReqs > 0 ? out.rr % nReqs : 0;
         for (int k = 0; k < nReqs; ++k, ++slot) {
             if (slot == nReqs)
                 slot = 0;
@@ -268,13 +274,11 @@ Router::switchPass(Cycle now, CongestionObserver *cong)
             if (vc.buf.empty())
                 continue;
             if (out.credits[vc.outVC] <= 0) {
-                if (cong)
-                    cong->onLinkStall(out.ch, now);
+                stalled = true;
                 continue;
             }
             if (!out.ch->canPush(vc.cls, now)) {
-                if (cong)
-                    cong->onLinkStall(out.ch, now);
+                stalled = true;
                 ready = std::min(ready, out.ch->pushReadyAt(vc.cls, now));
                 continue;
             }
@@ -290,8 +294,7 @@ Router::switchPass(Cycle now, CongestionObserver *cong)
                     }
                 }
                 if (!tailHere) {
-                    if (cong)
-                        cong->onLinkStall(out.ch, now);
+                    stalled = true;
                     continue;
                 }
             }
@@ -325,6 +328,10 @@ Router::switchPass(Cycle now, CongestionObserver *cong)
                 ready = std::min(ready, out.ch->pushReadyAt(
                                             static_cast<NetClass>(c), now));
             break; // this output port is busy now
+        }
+        if (cong && stalled != out.stalled) {
+            out.stalled = stalled;
+            cong->onStallLevel(out.ch, stalled, now);
         }
     }
     return ready;

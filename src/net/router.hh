@@ -16,7 +16,9 @@
  *
  * An empty router sleeps until a flit or credit wakes it; one that
  * holds flits sleeps until the earliest serializer slot among its
- * blocked or just-served outputs (sim/kernel.hh).
+ * blocked or just-served outputs (sim/kernel.hh). Observers do not
+ * keep it awake: each output's congestion stall level is published
+ * on change and holds while the router sleeps.
  */
 
 #ifndef NIFDY_NET_ROUTER_HH
@@ -173,6 +175,8 @@ class Router : public Steppable
         std::vector<int> owner;   //!< per VC: owning input VC id or -1
         std::vector<InVcRef> reqs; //!< input VCs currently routed here
         int rr = 0;               //!< round-robin arbitration pointer
+        /** Congestion stall level last published for ch. */
+        bool stalled = false;
     };
 
     /** Flat id of (inPort, vc). */

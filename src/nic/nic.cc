@@ -251,30 +251,22 @@ Nic::pumpInject(Cycle now)
             numNetClasses);
     rrNext_ = now + 1;
 
-    CongestionObserver *cong = congestion::sink();
     Cycle ready = neverCycle;
     bool pushed = false;
+    // Only a mid-wormhole packet is demonstrably blocked on the link;
+    // an empty stream may simply have nothing to send this cycle.
+    bool stalled = false;
     for (int k = 0; k < numNetClasses; ++k) {
         int cls = (injectRR_ + k) % numNetClasses;
         NetClass nc = static_cast<NetClass>(cls);
-        // Only a mid-wormhole packet is demonstrably blocked on the
-        // link; an empty stream may simply have nothing to send this
-        // cycle. A blocked one keeps the NIC awake while the
-        // congestion observer counts its stall cycles.
         if (!ch->canPush(nc, now)) {
-            if (outStream_[cls].pkt && cong) {
-                cong->onLinkStall(ch, now);
-                ready = now + 1;
-            }
+            stalled = stalled || outStream_[cls].pkt != nullptr;
             ready = std::min(ready, ch->pushReadyAt(nc, now));
             continue;
         }
         int vc = cls * params_.vcsPerClass;
         if (injectCredits_[vc] <= 0) {
-            if (outStream_[cls].pkt && cong) {
-                cong->onLinkStall(ch, now);
-                ready = now + 1;
-            }
+            stalled = stalled || outStream_[cls].pkt != nullptr;
             continue; // the credit's arrival wakes us
         }
         OutStream &os = outStream_[cls];
@@ -323,6 +315,13 @@ Nic::pumpInject(Cycle now)
             os = OutStream();
     }
     injectRR_ = (injectRR_ + 1) % numNetClasses;
+    // The inject link's stall level holds while the NIC sleeps.
+    if (stalled != injectStalled_) {
+        if (CongestionObserver *cong = congestion::sink()) {
+            injectStalled_ = stalled;
+            cong->onStallLevel(ch, stalled, now);
+        }
+    }
     // A push may have changed what the other class can send (pool
     // rank, OPT), so recheck every class once its serializer frees.
     if (pushed)

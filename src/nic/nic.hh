@@ -281,6 +281,8 @@ class Nic : public Steppable
         int totalFlits = 0;
     };
     OutStream outStream_[numNetClasses];
+    /** Congestion stall level last published for the inject link. */
+    bool injectStalled_ = false;
     /** Class round-robin pointer; turns once per cycle, including
      * the cycles the NIC sleeps through. */
     int injectRR_ = 0;

@@ -927,19 +927,38 @@ NifdyNic::isDuplicate(Packet &pkt, Cycle now)
     return false;
 }
 
+static_assert(StallCause{} == StallCause::swSend,
+              "PoolEntry::cause must start where a record opens");
+
 void
 NifdyNic::classifyStalls(Cycle now)
 {
+    // A pooled packet's record changes cause only here, so stamping
+    // an unchanged cause again would be a no-op.
     for (std::size_t i = 0; i < sendPool_.size(); ++i) {
-        const PoolEntry &e = sendPool_[i];
-        anatomy::onStall(*e.pkt, poolStallCause(e, i), now);
+        PoolEntry &e = sendPool_[i];
+        const StallCause cause = poolStallCause(e, i);
+        if (cause != e.cause) {
+            e.cause = cause;
+            anatomy::onStall(*e.pkt, cause, now);
+        }
     }
+}
+
+bool
+NifdyNic::stallCausesChanged() const
+{
+    for (std::size_t i = 0; i < sendPool_.size(); ++i)
+        if (poolStallCause(sendPool_[i], i) != sendPool_[i].cause)
+            return true;
+    return false;
 }
 
 Cycle
 NifdyNic::quietUntil(Cycle now) const
 {
-    if (reclaimTimeout_ > 0 || (anatomy::active() && !sendPool_.empty()))
+    if (reclaimTimeout_ > 0 ||
+        (anatomy::active() && stallCausesChanged()))
         return now + 1;
     Cycle at = neverCycle;
     for (const Packet *ack : ackQueue_)

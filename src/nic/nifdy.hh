@@ -317,6 +317,10 @@ class NifdyNic : public Nic
     {
         Packet *pkt;
         std::uint64_t order;
+        /** Anatomy cause last stamped by classifyStalls(), so an
+         * unchanged cause costs no lookup. Value-initialized to
+         * swSend, the cause a record opens in. */
+        StallCause cause{};
     };
 
     /**
@@ -339,9 +343,12 @@ class NifdyNic : public Nic
      * Nothing changes on its own before the next ack-hold deadline:
      * every other input (acks, sends, FIFO pops) arrives through a
      * wake-up. Stepped every cycle instead while reclaim timeouts
-     * run, or while the latency anatomy attributes pooled packets.
+     * run, and stepped next cycle when this step changed what holds
+     * a pooled packet back (the anatomy stamps the new cause then).
      */
     Cycle quietUntil(Cycle now) const override;
+    /** Would classifyStalls() stamp a changed cause now? */
+    bool stallCausesChanged() const;
     StallCause poolStallCause(const PoolEntry &e,
                               std::size_t idx) const;
     /** injectStall, unless the slot is held by a priority

@@ -13,7 +13,8 @@ namespace nifdy
 namespace
 {
 
-/** Active-sink stack (mirrors the Tracer stack). */
+/** Active-sink stack (mirrors the Tracer stack); its top is cached
+ * in Anatomy::current_. */
 std::vector<Anatomy *> &
 anatomyStack()
 {
@@ -114,6 +115,8 @@ makeAnatomyConservationChecker(const Anatomy *anatomy)
     return std::make_unique<AnatomyConservationChecker>(anatomy);
 }
 
+Anatomy *Anatomy::current_ = nullptr;
+
 Anatomy::Anatomy(const AnatomyConfig &cfg, int numNodes) : cfg_(cfg)
 {
     cfg_.validate();
@@ -138,6 +141,7 @@ Anatomy::Anatomy(const AnatomyConfig &cfg, int numNodes) : cfg_(cfg)
     nodePackets_.assign(static_cast<std::size_t>(numNodes), 0);
     nodeLatency_.assign(static_cast<std::size_t>(numNodes), 0);
     anatomyStack().push_back(this);
+    current_ = this;
 }
 
 Anatomy::~Anatomy()
@@ -149,13 +153,7 @@ Anatomy::~Anatomy()
             break;
         }
     }
-}
-
-Anatomy *
-Anatomy::current()
-{
-    auto &stack = anatomyStack();
-    return stack.empty() ? nullptr : stack.back();
+    current_ = stack.empty() ? nullptr : stack.back();
 }
 
 bool

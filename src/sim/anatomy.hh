@@ -145,7 +145,17 @@ class Anatomy
     Anatomy &operator=(const Anatomy &) = delete;
 
     /** The active sink, or nullptr when attribution is off. */
-    static Anatomy *current();
+    static Anatomy *current() { return current_; }
+
+    /**
+     * May retransmission clones, which share their original's
+     * record, be in flight (true unless cleared)? Then a clone's
+     * hook can move a record that a router holding the original's
+     * blocked head re-stamps every cycle, so that router must not
+     * sleep.
+     */
+    bool clonesShareRecords() const { return clonesShareRecords_; }
+    void setClonesShareRecords(bool on) { clonesShareRecords_ = on; }
 
     /** True when root id @p rootId's lifecycle is sampled. */
     bool sampledId(std::uint64_t rootId) const;
@@ -255,7 +265,11 @@ class Anatomy
     /** Close r.cur's open segment at @p now. */
     void closeSegment(Rec &r, Cycle now);
 
+    // nifdy:static-ok(harness sink pointer, kept in step with the RAII sink stack; not simulation state)
+    static Anatomy *current_;
+
     AnatomyConfig cfg_;
+    bool clonesShareRecords_ = true;
     /** sampleRate mapped onto the u64 hash range. */
     std::uint64_t sampleThreshold_ = 0;
     bool finished_ = false;

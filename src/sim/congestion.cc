@@ -16,7 +16,8 @@ namespace nifdy
 namespace
 {
 
-/** Active-sink stack (mirrors the Anatomy stack). */
+/** Active-sink stack (mirrors the Anatomy stack); its top is cached
+ * in CongestionObserver::current_. */
 std::vector<CongestionObserver *> &
 congestionStack()
 {
@@ -60,6 +61,8 @@ class CongestionConservationChecker : public InvariantChecker
     void
     check() const
     {
+        // cyclesObserved() settles every link first, so the per-link
+        // reads below are plain loads.
         const std::uint64_t cycles = c_->cyclesObserved();
         for (int i = 0; i < c_->numLinks(); ++i) {
             const CongestionObserver::LinkStats &l = c_->link(i);
@@ -101,6 +104,8 @@ makeCongestionConservationChecker(const CongestionObserver *obs)
     return std::make_unique<CongestionConservationChecker>(obs);
 }
 
+CongestionObserver *CongestionObserver::current_ = nullptr;
+
 CongestionObserver::CongestionObserver(const CongestionConfig &cfg,
                                        int numNodes)
     : cfg_(cfg)
@@ -108,6 +113,7 @@ CongestionObserver::CongestionObserver(const CongestionConfig &cfg,
     cfg_.validate();
     panic_if(numNodes < 1, "congestion observer needs >= 1 node");
     congestionStack().push_back(this);
+    current_ = this;
 }
 
 CongestionObserver::~CongestionObserver()
@@ -119,13 +125,7 @@ CongestionObserver::~CongestionObserver()
             break;
         }
     }
-}
-
-CongestionObserver *
-CongestionObserver::current()
-{
-    auto &stack = congestionStack();
-    return stack.empty() ? nullptr : stack.back();
+    current_ = stack.empty() ? nullptr : stack.back();
 }
 
 void
@@ -173,76 +173,148 @@ CongestionObserver::attachChannels(
     labels_ = labels;
     flitBytes_ = flitBytes;
     links_.assign(channels_.size(), LinkStats());
-    stallFlag_.assign(channels_.size(), 0);
+    track_.assign(channels_.size(), LinkTrack());
     linkIndex_.reserve(channels_.size());
     for (std::size_t i = 0; i < channels_.size(); ++i)
         linkIndex_[channels_[i]] = static_cast<int>(i);
 }
 
-NIFDY_HOT void
-CongestionObserver::step(Cycle now)
+int
+CongestionObserver::linkOf(const Channel *ch) const
 {
-    if (finished_ || links_.empty())
-        return;
-    for (std::size_t i = 0; i < links_.size(); ++i) {
-        LinkStats &l = links_[i];
-        const Channel *ch = channels_[i];
-        // Tiling priority: a serializing link is busy even if some
-        // other input also failed to claim it this cycle.
-        if (ch->busyAt(now)) {
-            ++l.busy;
-            ++l.winBusy;
-        } else if (stallFlag_[i]) {
-            ++l.stalled;
-            ++l.winStalled;
-        } else {
-            ++l.idle;
-            ++l.winIdle;
-        }
-        stallFlag_[i] = 0;
-        const int occ = ch->inFlight();
-        if (occ > l.highWater)
-            l.highWater = occ;
-    }
-    ++cyclesObserved_;
-    if (cyclesObserved_ % cfg_.window == 0)
-        closeWindow(now);
+    auto it = linkIndex_.find(ch);
+    return it == linkIndex_.end() ? -1 : it->second;
+}
+
+void
+CongestionObserver::begin(Cycle now)
+{
+    started_ = true;
+    start_ = now;
+    syncedTo_ = now;
+    for (LinkTrack &t : track_)
+        t.settled = now;
+}
+
+Cycle
+CongestionObserver::observedEnd() const
+{
+    // Kernel-driven, the kernel's clock; stepped by hand (a replay,
+    // a test rig), the last step.
+    return std::max(cyclesPassed(), stepped_);
+}
+
+Cycle
+CongestionObserver::cyclesObserved() const
+{
+    sync();
+    return started_ ? syncedTo_ - start_ : 0;
 }
 
 NIFDY_HOT void
-CongestionObserver::onLinkStall(const Channel *ch, Cycle now)
+CongestionObserver::settle(std::size_t i, Cycle upTo) const
 {
-    (void)now;
-    if (finished_ || links_.empty())
+    LinkTrack &t = track_[i];
+    if (upTo <= t.settled)
         return;
-    auto it = linkIndex_.find(ch);
-    if (it != linkIndex_.end())
-        stallFlag_[static_cast<std::size_t>(it->second)] = 1;
+    // Every serializer interval started at a push, which settled the
+    // link first, so over [settled, upTo) the link is busy exactly
+    // before busyEnd; the stall level held throughout.
+    const Cycle span = upTo - t.settled;
+    const Cycle busy =
+        t.busyEnd > t.settled ? std::min(t.busyEnd - t.settled, span) : 0;
+    LinkStats &l = links_[i];
+    l.busy += busy;
+    l.winBusy += busy;
+    if (t.stalled) {
+        l.stalled += span - busy;
+        l.winStalled += span - busy;
+    } else {
+        l.idle += span - busy;
+        l.winIdle += span - busy;
+    }
+    t.settled = upTo;
+}
+
+void
+CongestionObserver::sync() const
+{
+    if (!started_ || finished_)
+        return;
+    const Cycle end = observedEnd();
+    if (end <= syncedTo_)
+        return;
+    for (std::size_t i = 0; i < links_.size(); ++i)
+        settle(i, end);
+    syncedTo_ = end;
+}
+
+NIFDY_HOT void
+CongestionObserver::step(Cycle now)
+{
+    if (finished_) {
+        sleepUntil(neverCycle);
+        return;
+    }
+    if (links_.empty())
+        return;
+    if (!started_)
+        begin(now);
+    stepped_ = now + 1;
+    const Cycle into = (now + 1 - start_) % cfg_.window;
+    if (into == 0) {
+        sync();
+        closeWindow(now);
+    }
+    sleepUntil(now + cfg_.window - into);
+}
+
+NIFDY_HOT void
+CongestionObserver::onStallLevel(const Channel *ch, bool stalled,
+                                 Cycle now)
+{
+    if (finished_)
+        return;
+    const int i = linkOf(ch);
+    if (i < 0)
+        return;
+    if (!started_)
+        begin(now);
+    settle(static_cast<std::size_t>(i), now);
+    track_[static_cast<std::size_t>(i)].stalled = stalled;
 }
 
 NIFDY_HOT void
 CongestionObserver::onLinkFlit(const Channel *ch, const Flit &flit,
                                Cycle now)
 {
-    (void)now;
-    if (finished_ || links_.empty())
+    if (finished_)
         return;
-    auto it = linkIndex_.find(ch);
-    if (it == linkIndex_.end())
+    const int i = linkOf(ch);
+    if (i < 0)
         return;
-    LinkStats &l = links_[static_cast<std::size_t>(it->second)];
+    if (!started_)
+        begin(now);
+    const std::size_t li = static_cast<std::size_t>(i);
+    LinkTrack &t = track_[li];
+    // The push opened a new serializer interval at `now`: tile the
+    // cycles before it under the previous one, then extend.
+    settle(li, now);
+    t.busyEnd = ch->busyUntil();
+    LinkStats &l = links_[li];
+    // End-of-cycle occupancy only rises in a cycle with a push.
+    const int occ = ch->inFlightAt(now);
+    if (occ > l.highWater)
+        l.highWater = occ;
     const Packet &pkt = *flit.pkt;
-    if (pkt.netClass == NetClass::reply) {
+    if (pkt.netClass == NetClass::reply)
         ++l.replyFlits;
-        ++l.winReplyFlits;
-    } else {
+    else
         ++l.reqFlits;
-        ++l.winReqFlits;
-    }
     if (pkt.type == PacketType::ack || pkt.ctrlOnly)
         return;
-    ++linkFlows_[linkFlowKey(it->second, pkt.src, pkt.dst)] // nifdy:alloc-ok((link,flow) key set fixed after warmup; values zeroed, never erased)
-          .winFlits;
+    t.winFlows.push_back( // nifdy:alloc-ok(capacity persists at the per-window high-water; cleared, never freed)
+        linkFlowKey(pkt.src, pkt.dst));
 }
 
 CongestionObserver::FlowStats &
@@ -325,23 +397,19 @@ CongestionObserver::closeEpisode(int link, Cycle end)
     ++episodesClosed_;
     --openEpisodes_;
 
-    // Harvest this link's per-flow episode contributions. The map
-    // iteration order is unordered, but the result is sorted before
-    // use, so the output is deterministic.
-    const std::uint64_t linkBits = static_cast<std::uint64_t>(
-                                       static_cast<std::uint32_t>(link))
-                                   << 32;
-    for (auto &kv : linkFlows_) { // nifdy:unordered-ok(harvest sorted below; zeroing is order-free)
-        if ((kv.first & 0xFFFFFFFF00000000ULL) != linkBits ||
-            kv.second.epFlits == 0)
-            continue;
+    // Harvest this link's per-flow episode contributions; the
+    // shares are ranked below.
+    std::vector<FlowFlits> &flows =
+        track_[static_cast<std::size_t>(link)].epFlows;
+    e.shares.reserve(flows.size());
+    for (const FlowFlits &ff : flows) {
         CongestionEpisode::Share s;
-        s.src = static_cast<NodeId>((kv.first >> 16) & 0xFFFF);
-        s.dst = static_cast<NodeId>(kv.first & 0xFFFF);
-        s.flits = kv.second.epFlits;
-        kv.second.epFlits = 0;
+        s.src = static_cast<NodeId>(ff.flow >> 16);
+        s.dst = static_cast<NodeId>(ff.flow & 0xFFFF);
+        s.flits = ff.flits;
         e.shares.push_back(std::move(s));
     }
+    flows.clear();
     std::sort(e.shares.begin(), e.shares.end(),
               [](const CongestionEpisode::Share &a,
                  const CongestionEpisode::Share &b) {
@@ -381,6 +449,39 @@ CongestionObserver::closeEpisode(int link, Cycle end)
 }
 
 void
+CongestionObserver::foldWindow(std::size_t i)
+{
+    LinkTrack &t = track_[i];
+    if (t.winFlows.empty())
+        return;
+    const int open = links_[i].openEpisode;
+    if (open >= 0) {
+        // Count the sorted log's runs into the episode's per-flow
+        // table, kept sorted by flow.
+        episodes_[static_cast<std::size_t>(open)].totalFlits +=
+            t.winFlows.size();
+        std::sort(t.winFlows.begin(), t.winFlows.end());
+        std::vector<FlowFlits> &ep = t.epFlows;
+        for (std::size_t k = 0; k < t.winFlows.size();) {
+            const std::uint32_t flow = t.winFlows[k];
+            std::size_t n = 1;
+            while (k + n < t.winFlows.size() && t.winFlows[k + n] == flow)
+                ++n;
+            k += n;
+            auto it = std::lower_bound(
+                ep.begin(), ep.end(), flow,
+                [](const FlowFlits &f, std::uint32_t v) {
+                    return f.flow < v;
+                });
+            if (it == ep.end() || it->flow != flow)
+                it = ep.insert(it, {flow, 0}); // nifdy:alloc-ok(per-link flow set fixed after warmup; cleared, never freed)
+            it->flits += n;
+        }
+    }
+    t.winFlows.clear();
+}
+
+void
 CongestionObserver::closeWindow(Cycle now)
 {
     const Cycle winStart = now + 1 - cfg_.window;
@@ -410,21 +511,11 @@ CongestionObserver::closeWindow(Cycle now)
             openEpisode(static_cast<int>(i), winStart);
     }
 
-    // Pass 2: fold this window's per-(link,flow) flit counts into
-    // whatever episode is open on their link; windows on calm links
+    // Pass 2: fold this window's per-flow flit logs into whatever
+    // episode is open on their link; windows on calm links
     // contribute nothing.
-    for (auto &kv : linkFlows_) { // nifdy:unordered-ok(commutative accumulate + zeroing, order-free)
-        if (kv.second.winFlits == 0)
-            continue;
-        const int link = static_cast<int>(kv.first >> 32);
-        LinkStats &l = links_[static_cast<std::size_t>(link)];
-        if (l.openEpisode >= 0) {
-            kv.second.epFlits += kv.second.winFlits;
-            episodes_[static_cast<std::size_t>(l.openEpisode)]
-                .totalFlits += kv.second.winFlits;
-        }
-        kv.second.winFlits = 0;
-    }
+    for (std::size_t i = 0; i < links_.size(); ++i)
+        foldWindow(i);
 
     // Pass 3: extend open episodes and close the ones whose stall
     // fraction fell below the hysteresis low-water mark.
@@ -444,8 +535,6 @@ CongestionObserver::closeWindow(Cycle now)
         l.winBusy = 0;
         l.winIdle = 0;
         l.winStalled = 0;
-        l.winReqFlits = 0;
-        l.winReplyFlits = 0;
     }
 }
 
@@ -454,22 +543,13 @@ CongestionObserver::finish(Cycle now)
 {
     if (finished_)
         return;
+    sync(); // the counts freeze here
     finished_ = true;
     // Fold the partial window's contributions into open episodes so
     // the final classification sees all traffic, then close the
     // books on every still-open episode.
-    for (auto &kv : linkFlows_) { // nifdy:unordered-ok(commutative accumulate + zeroing, order-free)
-        if (kv.second.winFlits == 0)
-            continue;
-        const int link = static_cast<int>(kv.first >> 32);
-        LinkStats &l = links_[static_cast<std::size_t>(link)];
-        if (l.openEpisode >= 0) {
-            kv.second.epFlits += kv.second.winFlits;
-            episodes_[static_cast<std::size_t>(l.openEpisode)]
-                .totalFlits += kv.second.winFlits;
-        }
-        kv.second.winFlits = 0;
-    }
+    for (std::size_t i = 0; i < links_.size(); ++i)
+        foldWindow(i);
     for (std::size_t i = 0; i < links_.size(); ++i)
         if (links_[i].openEpisode >= 0)
             closeEpisode(static_cast<int>(i), now);
@@ -517,6 +597,7 @@ CongestionObserver::maxSlowdown() const
 std::uint64_t
 CongestionObserver::totalBusy() const
 {
+    sync();
     std::uint64_t sum = 0;
     for (const LinkStats &l : links_)
         sum += l.busy;
@@ -526,6 +607,7 @@ CongestionObserver::totalBusy() const
 std::uint64_t
 CongestionObserver::totalIdle() const
 {
+    sync();
     std::uint64_t sum = 0;
     for (const LinkStats &l : links_)
         sum += l.idle;
@@ -535,6 +617,7 @@ CongestionObserver::totalIdle() const
 std::uint64_t
 CongestionObserver::totalStalled() const
 {
+    sync();
     std::uint64_t sum = 0;
     for (const LinkStats &l : links_)
         sum += l.stalled;
@@ -544,6 +627,7 @@ CongestionObserver::totalStalled() const
 int
 CongestionObserver::hottestLink() const
 {
+    sync();
     int best = -1;
     std::uint64_t worst = 0;
     for (std::size_t i = 0; i < links_.size(); ++i) {
@@ -558,6 +642,7 @@ CongestionObserver::hottestLink() const
 Table
 CongestionObserver::linkTable(const std::string &title) const
 {
+    sync();
     Table t(title);
     t.header({"link", "busy", "idle", "stalled", "stall%", "hiwater",
               "req flits", "reply flits", "episodes"});

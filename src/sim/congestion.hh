@@ -3,12 +3,10 @@
  * Congestion observatory: per-link stall maps, per-flow progress
  * tracking, and victim/aggressor attribution.
  *
- * The CongestionObserver is a passive Steppable registered after
- * every traffic-moving component, so it sees each cycle's final link
- * state. Per link it tiles every observed cycle into exactly one of
- * three states -- busy (the serializer is occupied at this cycle),
- * stalled (idle, but some upstream component wanted to push and was
- * refused: no credits, serializer contention earlier in the cycle,
+ * The CongestionObserver tiles every observed cycle of every link
+ * into exactly one of three states -- busy (the serializer is
+ * occupied at this cycle), stalled (idle, but the link's producer
+ * wanted to push and was refused: no credits, serializer contention,
  * or a store-and-forward tail wait), or idle (no demand) -- giving
  * the per-window conservation invariant
  *
@@ -18,6 +16,18 @@
  * cumulative form (busy + idle + stalled == cyclesObserved, per
  * link), by the audit layer's congestion-conservation checker every
  * cycle.
+ *
+ * The tiling is event-driven, not sampled: a link's state only
+ * changes at a push (busy for the serializer slot's duration, read
+ * from Channel::busyUntil(), per class on time-sliced links) or when
+ * its producer -- the one router output or NIC inject port that
+ * feeds it -- raises or clears its stall level. The producer sets
+ * the level at each of its steps and it holds while the producer
+ * sleeps, which is exact because a sleeping producer would refuse
+ * the same pushes every cycle (sim/kernel.hh). Each event settles
+ * the link's interval since the last one; window boundaries settle
+ * every link, so the observer steps only at those and sleeps in
+ * between. Accessors settle through the current cycle first.
  *
  * On top of the window accounting sits an online hysteresis detector:
  * a link opens a named congestion *episode* when its window stall
@@ -34,10 +44,11 @@
  * cost one pointer test while no observer is active
  * (congestion.enabled defaults to off), so congestion-off runs
  * produce byte-identical reports. When active, the hooks are
- * NIFDY_HOT and allocation-free after warmup: the per-(link,flow)
- * window accumulators are zeroed rather than cleared so their keys
- * persist, and episode flow lists are only materialized at the
- * (rare) episode-close event.
+ * NIFDY_HOT and allocation-free after warmup: each link logs the
+ * flow of every data flit of the current window in a buffer that
+ * is cleared, not freed, and folds it into its open episode's
+ * per-flow counts (kept per link) at the window close; episode
+ * flow lists are only materialized at the (rare) episode close.
  */
 
 #ifndef NIFDY_SIM_CONGESTION_HH
@@ -141,8 +152,6 @@ class CongestionObserver : public Steppable
         std::uint64_t winStalled = 0;
         std::uint64_t reqFlits = 0;   //!< request-class flits pushed
         std::uint64_t replyFlits = 0; //!< reply-class flits pushed
-        std::uint64_t winReqFlits = 0;
-        std::uint64_t winReplyFlits = 0;
         int highWater = 0;  //!< occupancy high-water (flits in flight)
         int episodes = 0;   //!< episodes opened on this link
         int openEpisode = -1; //!< index into episodes(), -1 = calm
@@ -198,7 +207,7 @@ class CongestionObserver : public Steppable
     CongestionObserver &operator=(const CongestionObserver &) = delete;
 
     /** The active sink, or nullptr when observation is off. */
-    static CongestionObserver *current();
+    static CongestionObserver *current() { return current_; }
 
     /** Enumerate @p net's channels: inject/eject ports get
      * "inject<n>"/"eject<n>" labels, fabric links "internal<i>". */
@@ -208,15 +217,20 @@ class CongestionObserver : public Steppable
                         const std::vector<std::string> &labels,
                         int flitBytes);
 
-    /** Per-cycle link-state tiling; runs after every component. */
+    /** At a window's last cycle, settle every link and close the
+     * window; then sleep until the next one. Registered after every
+     * traffic-moving component, so it sees the cycle's final state.
+     * Stepping it in any other cycle is a no-op. */
     void step(Cycle now) override;
 
     //! @name Recording (called through the congestion::on* shims)
     //! @{
-    /** A component wanted to push on @p ch this cycle and could not
-     * (no credits, serializer busy, or a SAF tail wait). */
-    void onLinkStall(const Channel *ch, Cycle now);
-    /** A flit started serializing on @p ch. */
+    /** The producer of @p ch raised (@p stalled) or cleared its
+     * stall level at cycle @p now: until the next change, every
+     * cycle the link is not serializing counts as stalled. */
+    void onStallLevel(const Channel *ch, bool stalled, Cycle now);
+    /** A flit started serializing on @p ch (called after the
+     * push). */
     void onLinkFlit(const Channel *ch, const Flit &flit, Cycle now);
     /** Head flit of a data packet entered the network. */
     void onInject(const Packet &pkt, Cycle now);
@@ -228,18 +242,19 @@ class CongestionObserver : public Steppable
      * Idempotent. */
     void finish(Cycle now);
 
-    //! @name Aggregates
+    //! @name Aggregates (link counts settled through the current cycle)
     //! @{
     int numLinks() const { return static_cast<int>(links_.size()); }
     const LinkStats &link(int i) const
     {
+        sync();
         return links_[static_cast<std::size_t>(i)];
     }
     const std::string &linkLabel(int i) const
     {
         return labels_[static_cast<std::size_t>(i)];
     }
-    Cycle cyclesObserved() const { return cyclesObserved_; }
+    Cycle cyclesObserved() const;
     std::uint64_t windowsClosed() const { return windowsClosed_; }
     const std::vector<CongestionEpisode> &episodes() const
     {
@@ -282,48 +297,75 @@ class CongestionObserver : public Steppable
                 << 32) |
                static_cast<std::uint32_t>(dst);
     }
-    static std::uint64_t linkFlowKey(int link, NodeId src, NodeId dst)
+    /** A flow as logged per link: 16 bits each of src and dst. */
+    static std::uint32_t linkFlowKey(NodeId src, NodeId dst)
     {
-        return (static_cast<std::uint64_t>(
-                    static_cast<std::uint32_t>(link))
-                << 32) |
-               (static_cast<std::uint64_t>(
+        return (static_cast<std::uint32_t>(
                     static_cast<std::uint16_t>(src))
                 << 16) |
                static_cast<std::uint16_t>(dst);
     }
 
+    /** One flow's flits across a link during its open episode. */
+    struct FlowFlits
+    {
+        std::uint32_t flow = 0; //!< linkFlowKey()
+        std::uint64_t flits = 0;
+    };
+
+    /** How far one link's tiling is settled, and its flow logs. */
+    struct LinkTrack
+    {
+        Cycle settled = 0;    //!< cycles before this one are tiled
+        Cycle busyEnd = 0;    //!< Channel::busyUntil() at the last push
+        bool stalled = false; //!< the producer's stall level
+        /** Flow of every data flit pushed this window. */
+        std::vector<std::uint32_t> winFlows;
+        /** The open episode's flits per flow, sorted by flow. */
+        std::vector<FlowFlits> epFlows;
+    };
+
+    /** Index of @p ch in the link table, or -1 if unobserved. */
+    int linkOf(const Channel *ch) const;
+    /** Start the observation at cycle @p now (first call). */
+    void begin(Cycle now);
+    /** One past the last observed cycle (while recording). */
+    Cycle observedEnd() const;
+    /** Tile link @p i's cycles before @p upTo. */
+    void settle(std::size_t i, Cycle upTo) const;
+    /** Settle every link through the current cycle. */
+    void sync() const;
     FlowStats &flowFor(const Packet &pkt);
+    /** Fold link @p i's window log into its open episode, if any,
+     * and clear the log. */
+    void foldWindow(std::size_t i);
     void closeWindow(Cycle now);
     void openEpisode(int link, Cycle winStart);
     void closeEpisode(int link, Cycle end);
     void emitCongestedCounter(Cycle now);
 
+    // nifdy:static-ok(harness sink pointer, kept in step with the RAII sink stack; not simulation state)
+    static CongestionObserver *current_;
+
     CongestionConfig cfg_;
+    bool started_ = false;
     bool finished_ = false;
     int flitBytes_ = bytesPerWord;
+    Cycle start_ = 0;   //!< first observed cycle
+    Cycle stepped_ = 0; //!< one past the last cycle step() ran in
 
     std::vector<Channel *> channels_;
     std::vector<std::string> labels_;
-    std::vector<LinkStats> links_;
-    /** Set by onLinkStall, consumed and cleared by step(). */
-    std::vector<std::uint8_t> stallFlag_;
+    /** Settled lazily by const accessors (see sync()). */
+    mutable std::vector<LinkStats> links_;
+    mutable std::vector<LinkTrack> track_;
+    /** Every link is settled through this cycle (exclusive). */
+    mutable Cycle syncedTo_ = 0;
     std::unordered_map<const Channel *, int> linkIndex_; // nifdy:pointer-ok(keyed lookup only, never iterated; order never observed)
 
     std::unordered_map<std::uint64_t, FlowStats> flows_;
 
-    /** Per-(link,flow) flit accumulators. Values are zeroed at
-     * window close / episode close; keys persist so the steady state
-     * never allocates. */
-    struct LinkFlowAcc
-    {
-        std::uint64_t winFlits = 0; //!< current window
-        std::uint64_t epFlits = 0;  //!< open episode on this link
-    };
-    std::unordered_map<std::uint64_t, LinkFlowAcc> linkFlows_;
-
     std::vector<CongestionEpisode> episodes_;
-    Cycle cyclesObserved_ = 0;
     std::uint64_t windowsClosed_ = 0;
     std::uint64_t episodesOpened_ = 0;
     std::uint64_t episodesClosed_ = 0;
@@ -358,13 +400,6 @@ inline bool
 active()
 {
     return sink() != nullptr;
-}
-
-inline void
-onLinkStall(const Channel *ch, Cycle now)
-{
-    if (CongestionObserver *c = sink())
-        c->onLinkStall(ch, now);
 }
 
 inline void

@@ -212,11 +212,35 @@ void
 Kernel::watchdogPanic() const
 {
     // Cold by construction: building the message allocates, which
-    // must stay out of the NIFDY_HOT run loop above.
+    // must stay out of the NIFDY_HOT run loop above. Name the
+    // components still due in the next cycle: in a wedged run those
+    // are the ones spinning without progress.
+    constexpr std::size_t maxNamed = 4;
+    const std::uint64_t *bits = &wheel_[(now_ & wheelMask_) * words_];
     std::ostringstream os;
     os << "no activity for " << idleCycles_ << " cycles at cycle "
        << now_ << " with unfinished work (" << objects_.size()
-       << " components)";
+       << " components";
+    std::size_t named = 0;
+    std::size_t dueCount = 0;
+    for (std::size_t i = 0; i < objects_.size(); ++i) {
+        if (!due(i, now_, bits))
+            continue;
+        if (named < maxNamed) {
+            os << (named == 0 ? "; due: " : ", ");
+            if (names_[i].empty())
+                os << '#' << i;
+            else
+                os << names_[i];
+            ++named;
+        }
+        ++dueCount;
+    }
+    if (dueCount > named)
+        os << " +" << dueCount - named << " more";
+    if (dueCount == 0)
+        os << "; none due";
+    os << ")";
     panic("deadlock watchdog: %s", os.str().c_str());
 }
 

@@ -96,6 +96,15 @@ class Steppable
      */
     void holdActive(Cycle until);
 
+    /**
+     * One past the last cycle the registering kernel has carried
+     * this component through, stepped or skipped: now + 1 once the
+     * kernel has passed the component in the current cycle, else
+     * now (0 while unregistered). Lets a sleeping component settle
+     * per-cycle accounts on demand.
+     */
+    inline Cycle cyclesPassed() const;
+
   private:
     friend class Kernel;
     Kernel *stepper_ = nullptr; //!< the kernel that registered us
@@ -133,9 +142,10 @@ class Kernel
      * @return the cycle count at exit.
      *
      * If no component reports activity for watchdogLimit() cycles
-     * while the predicate is still false, the kernel panics with the
-     * registered component names -- this catches protocol or routing
-     * deadlocks in simulations that should otherwise make progress.
+     * while the predicate is still false, the kernel panics, naming
+     * the first few components still due to step -- this catches
+     * protocol or routing deadlocks in simulations that should
+     * otherwise make progress.
      */
     Cycle run(Cycle maxCycles,
               const std::function<bool()> &done = nullptr);
@@ -210,6 +220,11 @@ class Kernel
     }
 
     void holdActive(std::uint32_t slot, Cycle until);
+
+    Cycle cyclesPassed(std::uint32_t slot) const
+    {
+        return slot < passed_ ? now_ + 1 : now_;
+    }
 
     /** Size the wheel for wakes @p reach cycles ahead and @p n
      * components, keeping every pending wake. */
@@ -286,6 +301,12 @@ Steppable::sleepUntil(Cycle at)
 {
     if (stepper_)
         stepper_->sleepUntil(slot_, at);
+}
+
+inline Cycle
+Steppable::cyclesPassed() const
+{
+    return stepper_ ? stepper_->cyclesPassed(slot_) : 0;
 }
 
 } // namespace nifdy

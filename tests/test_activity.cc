@@ -18,6 +18,7 @@
 #include <memory>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "harness/experiment.hh"
 #include "net/router.hh"
 #include "proc/workload.hh"
+#include "sim/anatomy.hh"
 #include "sim/config.hh"
 #include "sim/congestion.hh"
 #include "sim/fault.hh"
@@ -225,6 +227,15 @@ equivalenceCases()
          K{{"nic", "buffers"},
            {"anatomy.enabled", "true"},
            {"congestion.enabled", "true"}}},
+        // Retransmission clones share their original's anatomy
+        // record while its head may sit blocked in a router.
+        {"observed_lossy_clones", "heavy",
+         K{{"topology", "mesh2d"},
+           {"nic", "lossy"},
+           {"lossy.dropProb", "0.05"},
+           {"lossy.retxTimeout", "300"},
+           {"anatomy.enabled", "true"},
+           {"congestion.enabled", "true"}}},
     };
 }
 
@@ -234,6 +245,78 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Case> &info) {
         return info.param.name;
     });
+
+//===------------------------------------------------------------===//
+// Observers: event-driven tiling vs stepping everything
+//===------------------------------------------------------------===//
+
+/** The congestion observer's rendered tables after @p cycles. */
+struct ObservedTables
+{
+    std::string links, flows, episodes, blame;
+    std::uint64_t opened = 0;
+    std::uint64_t closed = 0;
+};
+
+ObservedTables
+observedTables(const Case &c, bool stepAll, Cycle cycles)
+{
+    Rig r(c);
+    r.exp->kernel().setStepAll(stepAll);
+    EXPECT_EQ(r.exp->runFor(cycles), cycles);
+    const CongestionObserver *co = r.exp->congestion();
+    EXPECT_NE(co, nullptr);
+    ObservedTables t;
+    if (!co)
+        return t;
+    // Mid-run reads settle through the current cycle; finish() then
+    // closes the books the way a report does.
+    t.links = co->linkTable("links").csv();
+    r.exp->congestion()->finish(r.exp->kernel().now());
+    t.flows = co->flowTable("flows", 1000).csv();
+    t.episodes = co->episodeTable("episodes").csv();
+    t.opened = co->episodesOpened();
+    t.closed = co->episodesClosed();
+    if (const Anatomy *an = r.exp->anatomy())
+        t.blame = an->blameTable("blame").csv();
+    return t;
+}
+
+/** Time-sliced CM-5 links: busy cycles come from two per-class
+ * serializer slots. */
+TEST(ActivityObservers, TimeSlicedLinkTablesMatchSteppingEverything)
+{
+    const Case c{"cshift_cm5_observed", "cshift",
+                 {{"topology", "cm5"},
+                  {"anatomy.enabled", "true"},
+                  {"congestion.enabled", "true"},
+                  {"congestion.window", "128"}}};
+    const ObservedTables run = observedTables(c, false, 8000);
+    const ObservedTables all = observedTables(c, true, 8000);
+    EXPECT_GT(run.opened, 0u);
+    EXPECT_EQ(run.links, all.links);
+    EXPECT_EQ(run.flows, all.flows);
+    EXPECT_EQ(run.episodes, all.episodes);
+    EXPECT_EQ(run.blame, all.blame);
+}
+
+/** Short windows on heavy traffic: hundreds of episodes open and
+ * close, each harvesting its link's per-flow counts. */
+TEST(ActivityObservers, ShortWindowEpisodesMatchSteppingEverything)
+{
+    const Case c{"heavy_window64", "heavy",
+                 {{"anatomy.enabled", "true"},
+                  {"congestion.enabled", "true"},
+                  {"congestion.window", "64"}}};
+    const ObservedTables run = observedTables(c, false, 8000);
+    const ObservedTables all = observedTables(c, true, 8000);
+    EXPECT_GE(run.closed, 200u);
+    EXPECT_EQ(run.opened, all.opened);
+    EXPECT_EQ(run.links, all.links);
+    EXPECT_EQ(run.flows, all.flows);
+    EXPECT_EQ(run.episodes, all.episodes);
+    EXPECT_EQ(run.blame, all.blame);
+}
 
 //===------------------------------------------------------------===//
 // Channel wake-ups
@@ -403,6 +486,39 @@ TEST(ActivityWatchdog, CutAfterTurnCountsThatCycle)
     k.add(&cutter);
     k.setWatchdogLimit(50);
     EXPECT_EQ(k.run(1000), 61u);
+}
+
+/** A component that is always due and never makes progress. */
+class Spinner : public Steppable
+{
+  public:
+    void step(Cycle) override {}
+};
+
+/** A wedged run's panic names the first few components still due
+ * and counts the rest. */
+TEST(ActivityWatchdog, PanicNamesTheComponentsStillDue)
+{
+    Kernel k;
+    std::vector<Spinner> spinners(6);
+    for (std::size_t i = 0; i < spinners.size(); ++i)
+        k.add(&spinners[i], "spinner" + std::to_string(i));
+    k.setWatchdogLimit(20);
+    EXPECT_THROW(
+        {
+            try {
+                k.run(1000, [] { return false; });
+            } catch (const std::logic_error &e) {
+                const std::string msg = e.what();
+                EXPECT_NE(msg.find("deadlock watchdog"),
+                          std::string::npos) << msg;
+                EXPECT_NE(msg.find("due: spinner0, spinner1, "
+                                   "spinner2, spinner3 +2 more"),
+                          std::string::npos) << msg;
+                throw;
+            }
+        },
+        std::logic_error);
 }
 
 /** ...and only cycles 0..9 when the cut comes before its turn. */

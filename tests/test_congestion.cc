@@ -162,12 +162,12 @@ struct LinkRig
         obs->attachChannels({&ch}, {"L"}, 4);
     }
 
-    /** Run one full window stalling @p stallCycles of its cycles. */
+    /** Run one full window stalling @p stallCycles of its cycles:
+     * the producer's stall level is up for the first ones. */
     void window(int stallCycles)
     {
         for (Cycle c = 0; c < cfg.window; ++c, ++now) {
-            if (c < Cycle(stallCycles))
-                obs->onLinkStall(&ch, now);
+            obs->onStallLevel(&ch, c < Cycle(stallCycles), now);
             obs->step(now);
         }
     }
@@ -291,7 +291,7 @@ TEST(CongestionClassify, TwoAggressorsOneVictim)
     Packet pc = dataPacket(3, 0, 0);
     for (int w = 0; w < 2; ++w) {
         for (Cycle c = 0; c < cfg.window; ++c, ++rig.now) {
-            co.onLinkStall(&rig.ch, rig.now);
+            co.onStallLevel(&rig.ch, true, rig.now);
             for (int k = 0; k < 2; ++k) {
                 Flit f;
                 f.pkt = (k == 0) ? &pa : &pb;
@@ -450,7 +450,7 @@ TEST(CongestionAllocgate, SteadyStateObservationDoesNotAllocate)
     auto spin = [&](int windows) {
         for (int w = 0; w < windows; ++w) {
             for (Cycle c = 0; c < cfg.window; ++c, ++rig.now) {
-                co.onLinkStall(&rig.ch, rig.now);
+                co.onStallLevel(&rig.ch, true, rig.now);
                 Flit f;
                 f.pkt = (c & 1) ? &pa : &pb;
                 co.onLinkFlit(&rig.ch, f, rig.now);
