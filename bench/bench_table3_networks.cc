@@ -40,7 +40,7 @@ probeLatency(Network &net, std::vector<std::unique_ptr<BufferedNic>> &
     return arrival - start;
 }
 
-struct Probe
+struct LatencyFit
 {
     double latA = 0;
     double latB = 0;
@@ -48,7 +48,7 @@ struct Probe
 };
 
 /** Fit T_lat(d) over a spread of destination distances. */
-Probe
+LatencyFit
 fitLatency(const std::string &topo, int nodes, int bytes,
            std::uint64_t seed)
 {
@@ -73,7 +73,7 @@ fitLatency(const std::string &topo, int nodes, int bytes,
     }
     // Sample pairs covering the distance range.
     std::vector<std::pair<int, Cycle>> samples;
-    Probe out;
+    LatencyFit out;
     for (NodeId dst = 1; dst < nodes; dst = dst * 2 + 1) {
         int d = net->distance(0, dst);
         Cycle lat = probeLatency(*net, nics, kernel, pool, 0, dst,
@@ -117,7 +117,7 @@ main(int argc, char **argv)
         np.numNodes = args.nodes;
         np.seed = args.seed;
         auto net = makeNetwork(topo, np);
-        Probe p = fitLatency(topo, args.nodes, bytes, args.seed);
+        LatencyFit p = fitLatency(topo, args.nodes, bytes, args.seed);
 
         NetModel m;
         m.latA = p.latA;

@@ -177,7 +177,7 @@ void
 CollEngine::enter(CollOp op, std::int64_t value, Cycle now)
 {
     ++entered_;
-    trace::onColl(ev::collEnter, node_, now);
+    probe_->coll(ev::collEnter, node_, now);
     if (excused_) {
         // Free-runner: the collective resolves immediately with a
         // degraded zero result and no wire traffic.
@@ -185,7 +185,7 @@ CollEngine::enter(CollOp op, std::int64_t value, Cycle now)
         lastDegraded_ = true;
         ++localCompleted_;
         ++degraded_;
-        trace::onColl(ev::collExit, node_, now);
+        probe_->coll(ev::collExit, node_, now);
         return;
     }
     panic_if(localSeq_ >= 0,
@@ -271,7 +271,7 @@ CollEngine::pump(Cycle now)
             if (c.probes >= cfg_.maxProbes) {
                 c.pruned = true;
                 ++pruned_;
-                trace::onColl(ev::collPeerPrune, node_, now);
+                probe_->coll(ev::collPeerPrune, node_, now);
                 markDegraded(slot, now, "child pruned");
                 maybeComplete(slot, now);
                 if (!slot.active || slot.sentUp)
@@ -282,7 +282,7 @@ CollEngine::pump(Cycle now)
                 ++c.probes;
                 ++probes_;
                 c.probeAt = now + jittered(cfg_.probeTimeout);
-                trace::onColl(ev::collProbeSend, node_, now);
+                probe_->coll(ev::collProbeSend, node_, now);
             }
         }
     }
@@ -308,15 +308,13 @@ CollEngine::deliver(Packet *pkt, Cycle now)
              "CollEngine::deliver: not a collective packet");
     if (pkt->corrupted) {
         // CRC fails at the NIC; the sender's retransmission repairs.
-        audit::onDrop(*pkt, node_, "coll corrupt");
-        pool_.release(pkt);
+        discard(pkt, now, "coll corrupt");
         return;
     }
     if (!epochAdmit(*pkt)) {
         ++epochRejects_;
-        trace::onColl(ev::collEpochReject, node_, now);
-        audit::onDrop(*pkt, node_, "coll stale epoch");
-        pool_.release(pkt);
+        probe_->coll(ev::collEpochReject, node_, now);
+        discard(pkt, now, "coll stale epoch");
         return;
     }
     switch (static_cast<CollKind>(pkt->collKind)) {
@@ -336,20 +334,18 @@ CollEngine::deliver(Packet *pkt, Cycle now)
         handleStatus(*pkt, now);
         break;
     }
-    audit::onConsume(*pkt, node_, "coll");
+    probe_->consume(*pkt, node_, "coll");
     pool_.release(pkt);
 }
 
 void
 CollEngine::onCrash(Cycle now)
 {
-    (void)now;
     for (auto &box : outbox_) {
         while (!box.empty()) {
             Packet *pkt = box.front();
             box.pop_front();
-            audit::onDrop(*pkt, node_, "coll crash wipe");
-            pool_.release(pkt);
+            discard(pkt, now, "coll crash wipe");
         }
     }
     for (OpenColl &slot : slots_)
@@ -578,12 +574,10 @@ CollEngine::sendContribution(OpenColl &slot, Cycle now)
     pkt->collRound = slot.attempt;
     pkt->attempt = slot.attempt;
     queuePacket(pkt);
-    if (slot.attempt == 0) {
-        trace::onColl(ev::collContribSend, node_, now);
-    } else {
-        trace::onColl(ev::collContribRetx, node_, now);
+    if (slot.attempt > 0)
         ++retx_;
-    }
+    probe_->coll(slot.attempt ? ev::collContribRetx : ev::collContribSend,
+                 node_, now);
     ++slot.attempt;
     ++slot.retries;
     slot.retxAt = now + jittered(slot.curTimeout);
@@ -626,7 +620,7 @@ CollEngine::sendReleaseTo(NodeId dst, std::int32_t seq, CollOp op,
     pkt->collCount = count;
     pkt->collDegraded = degraded;
     queuePacket(pkt);
-    trace::onColl(ev::collReleaseSend, node_, now);
+    probe_->coll(ev::collReleaseSend, node_, now);
 }
 
 void
@@ -636,7 +630,7 @@ CollEngine::markDegraded(OpenColl &slot, Cycle now, const char *why)
     slot.degraded = true;
     if (!slot.degradeTraced) {
         slot.degradeTraced = true;
-        trace::onColl(ev::collDegrade, node_, now);
+        probe_->coll(ev::collDegrade, node_, now);
     }
 }
 
@@ -649,7 +643,7 @@ CollEngine::resolveLocal(std::int64_t result, bool degraded, Cycle now)
     ++localCompleted_;
     if (degraded)
         ++degraded_;
-    trace::onColl(ev::collExit, node_, now);
+    probe_->coll(ev::collExit, node_, now);
 }
 
 //===------------------------------------------------------------===//
@@ -736,13 +730,7 @@ CollEngine::handleProbe(const Packet &pkt, Cycle now)
         // a different ancestor chain) and the prober still awaits our
         // subtree: replay the recorded combined contribution so its
         // copy of the tree can finish too.
-        Packet *reply = makePacket(pkt.src, CollKind::contrib, seq,
-                                   t->op, now);
-        reply->collValue = t->upValue;
-        reply->collCount = t->upCount;
-        reply->collDegraded = true;
-        queuePacket(reply);
-        trace::onColl(ev::collContribSend, node_, now);
+        replayContrib(pkt, t->op, t->upValue, t->upCount, now);
         ++tombReplies_;
         return;
     }
@@ -755,10 +743,7 @@ CollEngine::handleProbe(const Packet &pkt, Cycle now)
             // not be able to exhaust a lagging node's slot pool. The
             // slot opens when the local enter() or a child
             // contribution arrives.
-            queuePacket(makePacket(pkt.src, CollKind::status, seq,
-                                   static_cast<CollOp>(pkt.collOp),
-                                   now));
-            trace::onColl(ev::collStatusSend, node_, now);
+            sendStatus(pkt, static_cast<CollOp>(pkt.collOp), now);
             return;
         }
         // First we hear of this sequence: the probe doubles as the
@@ -774,18 +759,32 @@ CollEngine::handleProbe(const Packet &pkt, Cycle now)
         // We abandoned this prober for a new parent; replay our
         // combined contribution so its subtree is not wedged waiting
         // on a child that will never transmit to it again.
-        Packet *reply = makePacket(pkt.src, CollKind::contrib, seq,
-                                   slot->op, now);
-        reply->collValue = slot->upValue;
-        reply->collCount = slot->upCount;
-        reply->collDegraded = true;
-        queuePacket(reply);
-        trace::onColl(ev::collContribSend, node_, now);
+        replayContrib(pkt, slot->op, slot->upValue, slot->upCount, now);
         return;
     }
-    queuePacket(makePacket(pkt.src, CollKind::status, seq, slot->op,
+    sendStatus(pkt, slot->op, now);
+}
+
+void
+CollEngine::replayContrib(const Packet &req, CollOp op,
+                          std::int64_t value, std::int32_t count,
+                          Cycle now)
+{
+    Packet *reply = makePacket(req.src, CollKind::contrib, req.collSeq,
+                               op, now);
+    reply->collValue = value;
+    reply->collCount = count;
+    reply->collDegraded = true;
+    queuePacket(reply);
+    probe_->coll(ev::collContribSend, node_, now);
+}
+
+void
+CollEngine::sendStatus(const Packet &req, CollOp op, Cycle now)
+{
+    queuePacket(makePacket(req.src, CollKind::status, req.collSeq, op,
                            now));
-    trace::onColl(ev::collStatusSend, node_, now);
+    probe_->coll(ev::collStatusSend, node_, now);
 }
 
 void
@@ -838,6 +837,13 @@ void
 CollEngine::queuePacket(Packet *pkt)
 {
     outbox_[static_cast<int>(pkt->netClass)].push_back(pkt); // nifdy:alloc-ok(Ring reserved to numNodes+16 at construction)
+}
+
+void
+CollEngine::discard(Packet *pkt, Cycle now, const char *why)
+{
+    probe_->drop(*pkt, node_, now, why);
+    pool_.release(pkt);
 }
 
 Cycle

@@ -146,6 +146,9 @@ class CollEngine
     CollEngine(NodeId node, int numNodes, const CollConfig &cfg,
                PacketPool &pool);
 
+    /** Report to @p probe (set by the NIC that drives the engine). */
+    void setProbe(const Probe *probe) { probe_ = probe; }
+
     //! @name Processor side (via the Barrier facade)
     //! @{
     /**
@@ -323,16 +326,26 @@ class CollEngine
     void handleRelease(const Packet &pkt, Cycle now);
     void handleProbe(const Packet &pkt, Cycle now);
     void handleStatus(const Packet &pkt, Cycle now);
+    /** Answer the liveness probe @p req with an already-combined
+     * (degraded) contribution. */
+    void replayContrib(const Packet &req, CollOp op,
+                       std::int64_t value, std::int32_t count,
+                       Cycle now);
+    /** Answer the liveness probe @p req with a status. */
+    void sendStatus(const Packet &req, CollOp op, Cycle now);
 
     Packet *makePacket(NodeId dst, CollKind kind, std::int32_t seq,
                        CollOp op, Cycle now);
     void queuePacket(Packet *pkt);
+    /** Report a drop of @p pkt, then release it. */
+    void discard(Packet *pkt, Cycle now, const char *why);
     Cycle jittered(Cycle timeout);
 
     NodeId node_;
     int numNodes_;
     CollConfig cfg_;
     PacketPool &pool_;
+    const Probe *probe_ = &noProbe;
     Rng rng_;
 
     std::vector<OpenColl> slots_;

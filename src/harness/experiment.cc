@@ -244,7 +244,7 @@ Experiment::Experiment(const ExperimentConfig &cfg) : cfg_(cfg)
                 engs.push_back(e.get());
             audit_->add(makeCollDisciplineChecker(std::move(engs)));
         }
-        kernel_.setAudit(audit_.get());
+        kernel_.probe().setAudit(audit_.get());
     }
 
     if (cfg_.anatomy.enabled) {
@@ -253,6 +253,7 @@ Experiment::Experiment(const ExperimentConfig &cfg) : cfg_(cfg)
             ac.seed = cfg_.seed;
         anatomy_ = std::make_unique<Anatomy>(ac, cfg_.numNodes);
         anatomy_->setClonesShareRecords(cfg_.nicKind == NicKind::lossy);
+        kernel_.probe().setAnatomy(anatomy_.get());
         if (audit_)
             audit_->add(
                 makeAnatomyConservationChecker(anatomy_.get()));
@@ -266,20 +267,18 @@ Experiment::Experiment(const ExperimentConfig &cfg) : cfg_(cfg)
         // Registered after every traffic-moving component so its
         // window closes see the cycle's final link state.
         kernel_.add(congestion_.get(), "congestion");
+        kernel_.probe().setCongestion(congestion_.get());
         if (audit_)
             audit_->add(
                 makeCongestionConservationChecker(congestion_.get()));
     }
 
     if (!cfg_.trace.path.empty()) {
-        if (!trace::compiledIn())
-            warn("trace.path set but the trace hooks are compiled "
-                 "out (-DNIFDY_TRACE=OFF): no events will be "
-                 "recorded");
         TraceConfig tc = cfg_.trace;
         if (tc.seed == 0)
             tc.seed = cfg_.seed;
         tracer_ = std::make_unique<Tracer>(tc);
+        kernel_.probe().setTracer(tracer_.get());
     }
 
     if (!cfg_.metrics.path.empty()) {
@@ -292,7 +291,7 @@ Experiment::Experiment(const ExperimentConfig &cfg) : cfg_(cfg)
     cfg_.profile.validate();
     if (cfg_.profile.enabled) {
         profiler_ = std::make_unique<Profiler>(cfg_.profile);
-        kernel_.setProfiler(profiler_.get());
+        kernel_.probe().setProfiler(profiler_.get());
     }
 }
 
@@ -306,6 +305,9 @@ Experiment::~Experiment()
         metrics_->finish(kernel_.now());
     if (tracer_)
         tracer_->close();
+    // The sinks are destroyed before the components that report to
+    // them; nothing reports after this.
+    kernel_.probe().clear();
 }
 
 void

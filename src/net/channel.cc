@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/congestion.hh"
 #include "sim/kernel.hh"
 #include "sim/log.hh"
 
@@ -90,7 +89,7 @@ Channel::push(const Flit &flit, Cycle now)
         consumer_->wakeAt(arrival);
     ++totalFlits_;
     ++classFlits_[static_cast<int>(cls)];
-    congestion::onLinkFlit(this, flit, now);
+    probe_->linkFlit(this, flit, now);
     panic_if(capacityFlits_ > 0 && inFlight() > capacityFlits_,
              "channel over capacity: %d flits in flight, "
              "credit-bounded capacity %d (%s)",

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "net/packet.hh"
+#include "sim/probe.hh"
 #include "sim/ring.hh"
 #include "sim/types.hh"
 
@@ -62,6 +63,9 @@ class Channel
     void setConsumer(Steppable *consumer);
     /** The component that pushes flits and absorbs credits. */
     void setProducer(Steppable *producer);
+    /** Report each push to @p probe's congestion observer (@p probe
+     * must outlive them). */
+    void setProbe(const Probe *probe) { probe_ = probe; }
     //! @}
 
     //! @name Sender side
@@ -185,6 +189,7 @@ class Channel
     int capacityFlits_ = 0;
     Steppable *consumer_ = nullptr;
     Steppable *producer_ = nullptr;
+    const Probe *probe_ = &noProbe;
 };
 
 } // namespace nifdy

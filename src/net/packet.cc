@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "sim/audit.hh"
 #include "sim/log.hh"
 
 namespace nifdy
@@ -76,7 +75,7 @@ PacketPool::alloc()
     }
     p->id = nextId_++;
     ++allocated_;
-    audit::onAlloc(*p);
+    probe_->alloc(*p);
     return p;
 }
 
@@ -84,7 +83,7 @@ void
 PacketPool::release(Packet *pkt)
 {
     panic_if(pkt == nullptr, "PacketPool::release(nullptr)");
-    audit::onRelease(*pkt);
+    probe_->release(*pkt);
     ++released_;
     freelist_.push_back(pkt);
 }

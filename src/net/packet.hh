@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/probe.hh"
 #include "sim/types.hh"
 
 namespace nifdy
@@ -205,6 +206,10 @@ class PacketPool
     /** Return a packet to the freelist. */
     void release(Packet *pkt);
 
+    /** Report allocs and releases to @p probe's audit (@p probe
+     * must outlive them). */
+    void setProbe(const Probe *probe) { probe_ = probe; }
+
     std::uint64_t allocated() const { return allocated_; }
     std::uint64_t released() const { return released_; }
     /** Packets currently alive (allocated - released). */
@@ -217,6 +222,7 @@ class PacketPool
     std::uint64_t nextId_ = 1;
     std::uint64_t allocated_ = 0;
     std::uint64_t released_ = 0;
+    const Probe *probe_ = &noProbe;
 };
 
 } // namespace nifdy

@@ -3,11 +3,8 @@
 #include <algorithm>
 
 #include "sim/anatomy.hh"
-#include "sim/audit.hh"
-#include "sim/congestion.hh"
 #include "sim/fault.hh"
 #include "sim/log.hh"
-#include "sim/trace.hh"
 
 namespace nifdy
 {
@@ -104,7 +101,8 @@ Router::step(Cycle now)
     for (InPort &ip : ins_) {
         while (ip.ch->hasFlit(now)) {
             Flit f = ip.ch->pop(now);
-            if (faults_ && faults_->filterArrival(id_, ip.ch, f, now)) {
+            if (faults_ &&
+                faults_->filterArrival(id_, ip.ch, f, now, *probe_)) {
                 // Swallowed by fault injection. Return the input
                 // buffer credit the upstream hop charged for this
                 // flit so the loss stays invisible to flow control.
@@ -131,7 +129,6 @@ Router::step(Cycle now)
     }
 
     // Route computation + VC allocation for fresh head flits.
-    Anatomy *anat = anatomy::sink();
     bool allocBlocked = false;
     for (int p = 0; p < static_cast<int>(ins_.size()); ++p) {
         for (int v = 0; v < numVCs_; ++v) {
@@ -139,14 +136,12 @@ Router::step(Cycle now)
             if (!vc.active && !vc.buf.empty() &&
                 vc.buf.front().head && !tryAllocate(p, v, now)) {
                 allocBlocked = true;
-                if (anat)
-                    anat->onArbLoss(*vc.buf.front().pkt, now);
+                probe_->arbLoss(*vc.buf.front().pkt, now);
             }
         }
     }
 
-    CongestionObserver *cong = congestion::sink();
-    const Cycle ready = switchPass(now, cong);
+    const Cycle ready = switchPass(now);
     if (bufferedFlits_ == 0) {
         sleepUntil(neverCycle);
         return;
@@ -157,6 +152,7 @@ Router::step(Cycle now)
     // Not so while a blocked head waits out a link outage, or while
     // a retransmission clone may move the record a blocked head
     // keeps re-stamping. Flits and credits wake us on arrival.
+    const Anatomy *anat = probe_->anatomy();
     if (allocBlocked &&
         (anyOutDownWindows() || (anat && anat->clonesShareRecords())))
         return;
@@ -241,14 +237,12 @@ Router::tryAllocate(int inPort, int vcIdx, Cycle now)
     outs_[bestPort].reqs.push_back( // nifdy:alloc-ok(vector capacity persists at numVCs high-water)
         {inPort, vcIdx});
     onAllocate(pkt, bestPort, bestVC % params_.vcsPerClass);
-    audit::onHop(pkt, id_);
-    trace::onHop(pkt, id_, now);
-    anatomy::onHop(pkt, now);
+    probe_->hop(pkt, id_, now);
     return true;
 }
 
 NIFDY_HOT Cycle
-Router::switchPass(Cycle now, CongestionObserver *cong)
+Router::switchPass(Cycle now)
 {
     Cycle ready = neverCycle;
     for (int op = 0; op < static_cast<int>(outs_.size()); ++op) {
@@ -329,10 +323,7 @@ Router::switchPass(Cycle now, CongestionObserver *cong)
                                             static_cast<NetClass>(c), now));
             break; // this output port is busy now
         }
-        if (cong && stalled != out.stalled) {
-            out.stalled = stalled;
-            cong->onStallLevel(out.ch, stalled, now);
-        }
+        probe_->stallLevel(out.ch, out.stalled, stalled, now);
     }
     return ready;
 }

@@ -35,7 +35,6 @@
 namespace nifdy
 {
 
-class CongestionObserver;
 class FaultInjector;
 
 /** Static router configuration. */
@@ -98,8 +97,13 @@ class Router : public Steppable
     /** Flits forwarded through the switch in total. */
     std::uint64_t flitsSwitched() const { return flitsSwitched_; }
 
-    /** Attach the kernel for activity reporting. */
-    void setKernel(Kernel *k) { kernel_ = k; }
+    /** Attach the kernel for activity reporting and its probe for
+     * observer events. */
+    void setKernel(Kernel *k)
+    {
+        kernel_ = k;
+        probe_ = &k->probe();
+    }
 
     /**
      * Register a fault injector whose filterArrival() screens every
@@ -186,7 +190,7 @@ class Router : public Steppable
     /** Forward at most one flit per output port. @return the
      * earliest cycle at which, without a flit or credit arriving,
      * another pass could forward anything (neverCycle if never). */
-    Cycle switchPass(Cycle now, CongestionObserver *cong);
+    Cycle switchPass(Cycle now);
     /** Does any output link have a down window? */
     bool anyOutDownWindows() const;
 
@@ -198,6 +202,7 @@ class Router : public Steppable
     int bufferedFlits_ = 0;
     std::uint64_t flitsSwitched_ = 0;
     Kernel *kernel_ = nullptr;
+    const Probe *probe_ = &noProbe;
     FaultInjector *faults_ = nullptr;
     std::vector<int> candidateScratch_;
 };

@@ -15,6 +15,8 @@ Network::addToKernel(Kernel &kernel)
         r->setKernel(&kernel);
         kernel.add(r.get(), name() + ".router" + std::to_string(r->id()));
     }
+    for (int c = 0; c < numChannels(); ++c)
+        channelAt(c).setProbe(&kernel.probe());
 }
 
 double

@@ -100,7 +100,8 @@ class Network
 
     const NodePorts &nodePorts(NodeId n) const { return ports_.at(n); }
 
-    /** Register every router with the simulation kernel. */
+    /** Register every router with the simulation kernel and wire
+     * every channel to its probe. */
     void addToKernel(Kernel &kernel);
 
     /** Human-readable topology name. */

@@ -3,11 +3,7 @@
 #include <algorithm>
 
 #include "coll/coll.hh"
-#include "sim/anatomy.hh"
-#include "sim/audit.hh"
-#include "sim/congestion.hh"
 #include "sim/log.hh"
-#include "sim/trace.hh"
 
 namespace nifdy
 {
@@ -29,6 +25,24 @@ Nic::Nic(NodeId node, const Network::NodePorts &ports,
     ports_.eject->setConsumer(this);
 }
 
+void
+Nic::setKernel(Kernel *k)
+{
+    kernel_ = k;
+    probe_ = &k->probe();
+    pool_.setProbe(probe_);
+    if (coll_)
+        coll_->setProbe(probe_);
+}
+
+void
+Nic::setCollEngine(CollEngine *eng)
+{
+    coll_ = eng;
+    if (coll_)
+        coll_->setProbe(probe_);
+}
+
 NIFDY_HOT Packet *
 Nic::peekReceive()
 {
@@ -42,7 +56,7 @@ Nic::pollReceive(Cycle now)
         return nullptr;
     Packet *pkt = arrivals_.front();
     arrivals_.pop_front();
-    anatomy::onAccept(*pkt, now);
+    probe_->accept(*pkt, now);
     onProcessorAccept(pkt, now);
     wake();
     return pkt;
@@ -76,7 +90,7 @@ Nic::pumpsIdle() const
 NIFDY_HOT void
 Nic::step(Cycle now)
 {
-    if (anatomy::active())
+    if (probe_->anatomy())
         classifyStalls(now);
     if (coll_ && !crashed_)
         coll_->pump(now);
@@ -128,13 +142,17 @@ Nic::onRestart(Cycle now)
 }
 
 void
+Nic::discard(Packet *pkt, Cycle now, const char *why)
+{
+    probe_->drop(*pkt, node_, now, why);
+    pool_.release(pkt);
+}
+
+void
 Nic::crashDiscard(Packet *pkt, Cycle now, const char *why)
 {
-    audit::onDrop(*pkt, node_, why);
-    trace::onDrop(*pkt, node_, now, why);
-    anatomy::onDrop(*pkt, now);
     ++crashDiscards_;
-    pool_.release(pkt);
+    discard(pkt, now, why);
 }
 
 void
@@ -142,8 +160,7 @@ Nic::crash(Cycle now)
 {
     panic_if(crashed_, "node %d crashed while already down", node_);
     crashed_ = true;
-    audit::onNodeCrash(node_, now);
-    trace::onNodeCrash(node_, now);
+    probe_->nodeCrash(node_, now);
     // Delivered-but-unconsumed arrivals die with the node.
     while (!arrivals_.empty()) {
         Packet *pkt = arrivals_.front();
@@ -170,8 +187,7 @@ Nic::restart(Cycle now)
     panic_if(!crashed_, "node %d restarted while alive", node_);
     crashed_ = false;
     ++epoch_;
-    audit::onNodeRestart(node_, epoch_, now);
-    trace::onNodeRestart(node_, epoch_, now);
+    probe_->nodeRestart(node_, epoch_, now);
     onRestart(now);
     if (coll_)
         coll_->onRestart(now);
@@ -206,7 +222,7 @@ Nic::deliverArrival(Packet *pkt, Cycle now)
         panic_if(!coll_, "node %d received a collective packet with "
                          "no engine attached",
                  node_);
-        audit::onDeliver(*pkt, node_);
+        probe_->deliver(*pkt, node_, now);
         coll_->deliver(pkt, now);
         return;
     }
@@ -227,10 +243,7 @@ Nic::pushArrival(Packet *pkt, Cycle now)
     panic_if(static_cast<int>(arrivals_.size()) >= params_.arrivalFifo,
              "arrivals FIFO overflow on node %d", node_);
     arrivals_.push_back(pkt); // nifdy:alloc-ok(Ring grows to arrivalFifo then reuses)
-    audit::onDeliver(*pkt, node_);
-    trace::onDeliver(*pkt, node_, now);
-    anatomy::onDeliver(*pkt, now);
-    congestion::onDeliver(*pkt, now);
+    probe_->deliver(*pkt, node_, now);
     ++packetsDelivered_;
     wordsDelivered_ += pkt->payloadWords;
     latency_.sample(now - pkt->createdAt);
@@ -295,10 +308,7 @@ Nic::pumpInject(Cycle now)
         if (f.head) {
             os.pkt->injectedAt = now;
             os.pkt->srcEpoch = epoch_;
-            audit::onInject(*os.pkt, node_);
-            trace::onInject(*os.pkt, node_, now);
-            anatomy::onInject(*os.pkt, now);
-            congestion::onInject(*os.pkt, now);
+            probe_->inject(*os.pkt, node_, now);
             if (os.pkt->type != PacketType::ack &&
                 !os.pkt->ctrlOnly) {
                 ++packetsSent_;
@@ -316,12 +326,7 @@ Nic::pumpInject(Cycle now)
     }
     injectRR_ = (injectRR_ + 1) % numNetClasses;
     // The inject link's stall level holds while the NIC sleeps.
-    if (stalled != injectStalled_) {
-        if (CongestionObserver *cong = congestion::sink()) {
-            injectStalled_ = stalled;
-            cong->onStallLevel(ch, stalled, now);
-        }
-    }
+    probe_->stallLevel(ch, injectStalled_, stalled, now);
     // A push may have changed what the other class can send (pool
     // rank, OPT), so recheck every class once its serializer frees.
     if (pushed)

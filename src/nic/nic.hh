@@ -102,8 +102,9 @@ class Nic : public Steppable
      * The NIC pumps it every cycle, drains its outbox with strict
      * injection priority over its own traffic, routes delivered
      * PacketType::coll packets into it, and forwards crash/restart.
+     * The engine reports to this NIC's probe.
      */
-    void setCollEngine(CollEngine *eng) { coll_ = eng; }
+    void setCollEngine(CollEngine *eng);
     CollEngine *collEngine() const { return coll_; }
     //! @}
 
@@ -142,7 +143,9 @@ class Nic : public Steppable
     //! @}
 
     NodeId node() const { return node_; }
-    void setKernel(Kernel *k) { kernel_ = k; }
+    /** Attach the kernel; this NIC, its packet pool and its
+     * collective engine report to the kernel's probe. */
+    void setKernel(Kernel *k);
 
     //! @name Delivery statistics (data packets only)
     //! @{
@@ -199,7 +202,7 @@ class Nic : public Steppable
 
     /**
      * Latency-anatomy hook: attribute every queued-but-not-injected
-     * data packet to its current StallCause (anatomy::onStall).
+     * data packet to its current StallCause (Probe::stall).
      * Called once per cycle from step(), only while an Anatomy sink
      * is active, so the default off configuration pays nothing.
      */
@@ -246,9 +249,13 @@ class Nic : public Steppable
     NodeId node_;
     NicParams params_;
     PacketPool &pool_;
+    /** The kernel's probe (noProbe until setKernel()). */
+    const Probe *probe_ = &noProbe;
 
-    /** Discard a packet delivered to (or stranded on) a crashed
-     * node: terminal lifecycle drop + pool release. */
+    /** Report a NIC-side drop of @p pkt, then release it. */
+    void discard(Packet *pkt, Cycle now, const char *why);
+    /** discard() a packet delivered to (or stranded on) a crashed
+     * node, counting it. */
     void crashDiscard(Packet *pkt, Cycle now, const char *why);
 
   private:

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/anatomy.hh"
-#include "sim/audit.hh"
 #include "sim/log.hh"
 #include "sim/trace.hh"
 
@@ -40,25 +39,21 @@ NifdyNic::send(Packet *pkt, Cycle now)
 {
     if (isPeerDead(pkt->dst)) {
         ++sendsToDeadPeers_;
-        audit::onDrop(*pkt, node_, "peer dead: send discarded");
-        trace::onDrop(*pkt, node_, now, "peer dead: send discarded");
-        pool_.release(pkt);
+        discard(pkt, now, "peer dead: send discarded");
         noteActivity();
         return;
     }
     panic_if(!canSend(*pkt), "send on full NIFDY pool, node %d", node_);
     pkt->createdAt = now;
-    audit::onSend(*pkt, node_);
-    trace::onSend(*pkt, node_, now);
-    anatomy::onSend(*pkt, now);
+    probe_->send(*pkt, node_, now);
     sendPool_.push_back({pkt, poolOrder_++});
     wake();
     // Record a deferral when protocol admission (OPT slot, window
     // room, per-destination order) cannot be immediate; the matching
     // opt.admit/window.admit event closes the gap on the timeline.
-    if (trace::active() && !pkt->noAck &&
+    if (probe_->tracer() && !pkt->noAck &&
         !eligibleScalar(sendPool_.back(), sendPool_.size() - 1))
-        trace::onOptDefer(*pkt, node_, now);
+        probe_->mark(ev::optDefer, *pkt, node_, now);
 }
 
 NIFDY_HOT void
@@ -231,7 +226,7 @@ NifdyNic::takeFromPool(std::size_t idx, Cycle now)
                 out_.exitSent = true;
         }
         ++bulkPacketsSent_;
-        trace::onWindowAdmit(*pkt, node_, now);
+        probe_->mark(ev::windowAdmit, *pkt, node_, now);
         onDataInjected(pkt, now);
         return pkt;
     }
@@ -255,7 +250,7 @@ NifdyNic::takeFromPool(std::size_t idx, Cycle now)
     optSince_.push_back(now);
     panic_if(static_cast<int>(opt_.size()) > cfg_.opt,
              "OPT overflow on node %d", node_);
-    trace::onOptAdmit(*pkt, node_, now);
+    probe_->mark(ev::optAdmit, *pkt, node_, now);
     onDataInjected(pkt, now);
     return pkt;
 }
@@ -340,7 +335,7 @@ NifdyNic::tryPiggyback(Packet *pkt, Cycle now)
         pkt->ackWindow = ack->ackWindow;
         pkt->ackEpoch = ack->ackEpoch;
         ackQueue_.erase(i);
-        audit::onConsume(*ack, node_, "merged into piggyback header");
+        probe_->consume(*ack, node_, "merged into piggyback header");
         pool_.release(ack);
         ++acksPiggybacked_;
         return;
@@ -384,12 +379,7 @@ NifdyNic::makeAck(const Packet &dataPkt, Cycle now, bool allowFreshGrant)
                 for (Packet *&slot : d.slots) {
                     if (!slot)
                         continue;
-                    audit::onDrop(*slot, node_,
-                                  "dialog restarted: slot discarded");
-                    trace::onDrop(*slot, node_, now,
-                                  "dialog restarted: slot discarded");
-                    anatomy::onDrop(*slot, now);
-                    pool_.release(slot);
+                    discard(slot, now, "dialog restarted: slot discarded");
                     slot = nullptr;
                 }
                 d.delivered = 0;
@@ -477,10 +467,7 @@ NifdyNic::dropInDialogsFrom(NodeId peer, Cycle now, const char *why)
         for (Packet *&slot : dlg.slots) {
             if (!slot)
                 continue;
-            audit::onDrop(*slot, node_, why);
-            trace::onDrop(*slot, node_, now, why);
-            anatomy::onDrop(*slot, now);
-            pool_.release(slot);
+            discard(slot, now, why);
             slot = nullptr;
             ++released;
         }
@@ -561,10 +548,7 @@ NifdyNic::abandonPeer(NodeId peer, Cycle now)
         Packet *p = sendPool_[i - 1].pkt;
         if (p->dst != peer)
             continue;
-        audit::onDrop(*p, node_, "peer dead: queued send discarded");
-        trace::onDrop(*p, node_, now, "peer dead: queued send discarded");
-        anatomy::onDrop(*p, now);
-        pool_.release(p);
+        discard(p, now, "peer dead: queued send discarded");
         sendPool_.erase(sendPool_.begin() +
                         static_cast<std::ptrdiff_t>(i - 1));
         ++released;
@@ -572,9 +556,7 @@ NifdyNic::abandonPeer(NodeId peer, Cycle now)
     for (std::size_t i = 0; i < ackQueue_.size();) {
         Packet *ack = ackQueue_[i];
         if (ack->dst == peer) {
-            audit::onDrop(*ack, node_,
-                          "peer dead: queued ack discarded");
-            pool_.release(ack);
+            discard(ack, now, "peer dead: queued ack discarded");
             ackQueue_.erase(i);
             ++released;
         } else {
@@ -594,7 +576,7 @@ NifdyNic::issueScalarAck(Packet *pkt, Cycle now)
     if (cfg_.piggybackAcks && pkt->expectsReply)
         ack->holdUntil = now + cfg_.piggybackWait;
     queueAck(ack);
-    trace::onAckIssue(*pkt, node_, now);
+    probe_->mark(ev::ackIssue, *pkt, node_, now);
 }
 
 void
@@ -603,10 +585,7 @@ NifdyNic::rejectStaleEpoch(Packet *pkt, Cycle now, const char *why)
     if (pkt->type == PacketType::scalar)
         consumeReservation(); // canAccept() claimed a FIFO slot
     ++epochRejects_;
-    trace::onEpochReject(*pkt, node_, now);
-    audit::onDrop(*pkt, node_, why);
-    trace::onDrop(*pkt, node_, now, why);
-    anatomy::onEpochReject(*pkt, now);
+    probe_->epochReject(*pkt, node_, now, why);
     pool_.release(pkt);
     noteActivity();
 }
@@ -654,7 +633,7 @@ NifdyNic::onPacketDelivered(Packet *pkt, Cycle now)
 
     if (pkt->type == PacketType::ack) {
         applyAck(*pkt, now);
-        audit::onConsume(*pkt, node_, "ack absorbed");
+        probe_->consume(*pkt, node_, "ack absorbed");
         pool_.release(pkt);
         return;
     }
@@ -670,10 +649,7 @@ NifdyNic::onPacketDelivered(Packet *pkt, Cycle now)
         // The subclass has already queued the repeated ack.
         if (pkt->type == PacketType::scalar)
             consumeReservation();
-        audit::onDrop(*pkt, node_, "duplicate filtered");
-        trace::onDrop(*pkt, node_, now, "duplicate filtered");
-        anatomy::onDrop(*pkt, now);
-        pool_.release(pkt);
+        discard(pkt, now, "duplicate filtered");
         return;
     }
 
@@ -700,10 +676,7 @@ NifdyNic::onPacketDelivered(Packet *pkt, Cycle now)
             queueAck(makeDialogReject(*pkt, now));
             why = "unknown bulk dialog (cold receiver)";
         }
-        audit::onDrop(*pkt, node_, why);
-        trace::onDrop(*pkt, node_, now, why);
-        anatomy::onDrop(*pkt, now);
-        pool_.release(pkt);
+        discard(pkt, now, why);
         noteActivity();
         return;
     }
@@ -721,7 +694,7 @@ NifdyNic::onPacketDelivered(Packet *pkt, Cycle now)
     panic_if(dlg.slots[slot] != nullptr,
              "bulk window slot collision on node %d", node_);
     dlg.lastProgress = now;
-    anatomy::onReorder(*pkt, now);
+    probe_->reorder(*pkt, now);
     dlg.slots[slot] = pkt;
     ++dlg.buffered;
     drainDialog(d, now);
@@ -748,10 +721,10 @@ NifdyNic::drainDialog(int d, Cycle now)
         if (pkt->bulkExit)
             dlg.exitDelivered = true;
         if (pkt->ctrlOnly) {
-            audit::onConsume(*pkt, node_, "bulk control absorbed");
+            probe_->consume(*pkt, node_, "bulk control absorbed");
             pool_.release(pkt);
         } else {
-            if (trace::active())
+            if (probe_->tracer())
                 dlg.traceAckPending.push_back(
                     pkt->cloneOf ? pkt->cloneOf : pkt->id);
             pushArrival(pkt, now);
@@ -789,7 +762,7 @@ NifdyNic::maybeAckDialog(int d, Cycle now)
     dlg.ackedAt = dlg.delivered;
     queueAck(ack);
     for (std::uint64_t rootId : dlg.traceAckPending)
-        trace::onAckIssueId(rootId, node_, now);
+        probe_->ackIssueId(rootId, node_, now);
     dlg.traceAckPending.clear();
 
     if (dlg.exitDelivered && dlg.buffered == 0) {
@@ -940,7 +913,7 @@ NifdyNic::classifyStalls(Cycle now)
         const StallCause cause = poolStallCause(e, i);
         if (cause != e.cause) {
             e.cause = cause;
-            anatomy::onStall(*e.pkt, cause, now);
+            probe_->stall(*e.pkt, cause, now);
         }
     }
 }
@@ -958,7 +931,7 @@ Cycle
 NifdyNic::quietUntil(Cycle now) const
 {
     if (reclaimTimeout_ > 0 ||
-        (anatomy::active() && stallCausesChanged()))
+        (probe_->anatomy() && stallCausesChanged()))
         return now + 1;
     Cycle at = neverCycle;
     for (const Packet *ack : ackQueue_)

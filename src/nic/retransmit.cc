@@ -2,10 +2,7 @@
 
 #include <algorithm>
 
-#include "sim/anatomy.hh"
-#include "sim/audit.hh"
 #include "sim/log.hh"
-#include "sim/trace.hh"
 
 namespace nifdy
 {
@@ -126,8 +123,7 @@ LossyNifdyNic::retransmit(Snapshot &snap, Cycle now)
     p->corrupted = false;
     retxQueue_.push_back(p); // nifdy:alloc-ok(Ring grows to high-water then reuses)
     ++retransmissions_;
-    audit::onRetransmit(*p, node_);
-    trace::onRetransmit(*p, node_, now);
+    probe_->retransmit(*p, node_, now);
     noteActivity();
 }
 
@@ -151,10 +147,7 @@ LossyNifdyNic::purgeRetxState(NodeId peer, Cycle now, bool bulkOnly,
         Packet *p = retxQueue_[i];
         if (p->dst == peer &&
             (!bulkOnly || p->type == PacketType::bulk)) {
-            audit::onDrop(*p, node_, why);
-            trace::onDrop(*p, node_, now, why);
-            anatomy::onDrop(*p, now);
-            pool_.release(p);
+            discard(p, now, why);
             retxQueue_.erase(i);
             ++abandoned_;
         } else {
@@ -230,10 +223,7 @@ LossyNifdyNic::onPacketDelivered(Packet *pkt, Cycle now)
         ++corruptDropped_;
         if (pkt->type == PacketType::scalar)
             consumeReservation(); // canAccept() claimed a slot
-        audit::onDrop(*pkt, node_, "corrupted in fabric (CRC)");
-        trace::onDrop(*pkt, node_, now, "corrupted in fabric (CRC)");
-        anatomy::onDrop(*pkt, now);
-        pool_.release(pkt);
+        discard(pkt, now, "corrupted in fabric (CRC)");
         noteActivity();
         return;
     }
@@ -241,10 +231,7 @@ LossyNifdyNic::onPacketDelivered(Packet *pkt, Cycle now)
         ++packetsDropped_;
         if (pkt->type == PacketType::scalar)
             consumeReservation(); // canAccept() claimed a slot
-        audit::onDrop(*pkt, node_, "fault-injected drop");
-        trace::onDrop(*pkt, node_, now, "fault-injected drop");
-        anatomy::onDrop(*pkt, now);
-        pool_.release(pkt);
+        discard(pkt, now, "fault-injected drop");
         noteActivity();
         return;
     }

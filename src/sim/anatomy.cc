@@ -13,16 +13,6 @@ namespace nifdy
 namespace
 {
 
-/** Active-sink stack (mirrors the Tracer stack); its top is cached
- * in Anatomy::current_. */
-std::vector<Anatomy *> &
-anatomyStack()
-{
-    // nifdy:static-ok(harness sink stack, scoped by RAII push/pop; not simulation state)
-    static std::vector<Anatomy *> stack;
-    return stack;
-}
-
 /** Deterministic 64-bit mix (splitmix64 finalizer). */
 std::uint64_t
 mix64(std::uint64_t x)
@@ -115,8 +105,6 @@ makeAnatomyConservationChecker(const Anatomy *anatomy)
     return std::make_unique<AnatomyConservationChecker>(anatomy);
 }
 
-Anatomy *Anatomy::current_ = nullptr;
-
 Anatomy::Anatomy(const AnatomyConfig &cfg, int numNodes) : cfg_(cfg)
 {
     cfg_.validate();
@@ -140,20 +128,6 @@ Anatomy::Anatomy(const AnatomyConfig &cfg, int numNodes) : cfg_(cfg)
     nodeTotals_.resize(static_cast<std::size_t>(numNodes));
     nodePackets_.assign(static_cast<std::size_t>(numNodes), 0);
     nodeLatency_.assign(static_cast<std::size_t>(numNodes), 0);
-    anatomyStack().push_back(this);
-    current_ = this;
-}
-
-Anatomy::~Anatomy()
-{
-    auto &stack = anatomyStack();
-    for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-        if (*it == this) {
-            stack.erase(std::next(it).base());
-            break;
-        }
-    }
-    current_ = stack.empty() ? nullptr : stack.back();
 }
 
 bool
@@ -178,8 +152,6 @@ Anatomy::totalAttributed() const
 Anatomy::Rec *
 Anatomy::find(const Packet &pkt)
 {
-    if (pkt.type == PacketType::ack || pkt.ctrlOnly)
-        return nullptr;
     auto it = recs_.find(rootIdOf(pkt));
     return it == recs_.end() ? nullptr : &it->second;
 }
@@ -213,22 +185,19 @@ Anatomy::transition(Rec &r, const Packet &pkt, StallCause cause,
     ++live_[newIdx];
     if (pkt.type == PacketType::bulk)
         r.bulk = true;
-    if (trace::compiledIn()) {
-        if (Tracer *t = Tracer::current()) {
-            std::uint64_t root = rootIdOf(pkt);
-            if (now > from)
-                t->anatomySlice(sliceNames[oldIdx], root, from, now,
-                                r.src);
-            t->counterSample(counterNames[oldIdx], now, live_[oldIdx]);
-            t->counterSample(counterNames[newIdx], now, live_[newIdx]);
-        }
+    if (tracer_) {
+        if (now > from)
+            tracer_->anatomySlice(sliceNames[oldIdx], rootIdOf(pkt),
+                                  from, now, r.src);
+        tracer_->counterSample(counterNames[oldIdx], now, live_[oldIdx]);
+        tracer_->counterSample(counterNames[newIdx], now, live_[newIdx]);
     }
 }
 
 void
 Anatomy::onSend(const Packet &pkt, Cycle now)
 {
-    if (finished_ || pkt.type == PacketType::ack || pkt.ctrlOnly)
+    if (finished_)
         return;
     std::uint64_t root = rootIdOf(pkt);
     if (pkt.cloneOf || !sampledId(root))
@@ -239,12 +208,10 @@ Anatomy::onSend(const Packet &pkt, Cycle now)
     r.cur = StallCause::swSend;
     r.src = pkt.src;
     ++live_[static_cast<int>(StallCause::swSend)];
-    if (trace::compiledIn()) {
-        if (Tracer *t = Tracer::current())
-            t->counterSample(
-                counterNames[static_cast<int>(StallCause::swSend)],
-                now, live_[static_cast<int>(StallCause::swSend)]);
-    }
+    if (tracer_)
+        tracer_->counterSample(
+            counterNames[static_cast<int>(StallCause::swSend)], now,
+            live_[static_cast<int>(StallCause::swSend)]);
 }
 
 void
@@ -306,8 +273,6 @@ Anatomy::onDeliver(const Packet &pkt, Cycle now)
 void
 Anatomy::onAccept(const Packet &pkt, Cycle now)
 {
-    if (pkt.type == PacketType::ack || pkt.ctrlOnly)
-        return;
     std::uint64_t root = rootIdOf(pkt);
     auto it = recs_.find(root);
     if (it == recs_.end())
@@ -350,14 +315,12 @@ Anatomy::onAccept(const Packet &pkt, Cycle now)
         nodeLatency_[static_cast<std::size_t>(r.src)] += e2e;
     }
 
-    if (trace::compiledIn()) {
-        if (Tracer *t = Tracer::current()) {
-            if (now > from)
-                t->anatomySlice(sliceNames[lastIdx], root, from, now,
-                                r.src);
-            t->counterSample(counterNames[lastIdx], now,
-                             live_[lastIdx]);
-        }
+    if (tracer_) {
+        if (now > from)
+            tracer_->anatomySlice(sliceNames[lastIdx], root, from, now,
+                                  r.src);
+        tracer_->counterSample(counterNames[lastIdx], now,
+                               live_[lastIdx]);
     }
     recs_.erase(it);
 }

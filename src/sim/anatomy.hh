@@ -14,14 +14,13 @@
  * and in aggregate by the audit layer's latency-anatomy checker and
  * by tools/analyze_latency.py --check-conservation in CI.
  *
- * Cost model mirrors the trace layer (trace.hh), minus the compile
- * gate: the anatomy::on* shims below cost one pointer test while no
- * Anatomy sink is active (anatomy.enabled defaults to off), so the
- * disabled hot path is unchanged and anatomy-off runs produce
- * byte-identical reports. When active, per-lifecycle sampling
- * (anatomy.sampleRate, keyed on a deterministic hash of the packet's
- * root id so retransmission clones share their original's record)
- * bounds the bookkeeping.
+ * Cost model mirrors the trace layer (trace.hh): while no Anatomy is
+ * attached to the kernel's Probe (anatomy.enabled defaults to off),
+ * each reporting site pays one inline test in the probe, so
+ * anatomy-off runs produce byte-identical reports. When attached,
+ * per-lifecycle sampling (anatomy.sampleRate, keyed on a
+ * deterministic hash of the packet's root id so retransmission
+ * clones share their original's record) bounds the bookkeeping.
  *
  * Attribution points (see DESIGN.md section 8 for the taxonomy):
  *  - the NICs classify every queued-but-not-injected data packet
@@ -63,6 +62,7 @@ namespace nifdy
 
 struct Packet;
 class InvariantChecker;
+class Tracer;
 
 /**
  * Where a sampled packet is spending the current cycle. Exactly one
@@ -131,21 +131,20 @@ struct AnatomyConfig
 };
 
 /**
- * The attribution sink. Constructing an Anatomy makes it the current
- * sink (a stack is kept so nested scopes in tests behave);
- * destroying it pops it. finish() closes the books: records still
- * open are discarded (counted, never sampled).
+ * The attribution sink, fed through the kernel's Probe once attached
+ * to it; the Probe shows it data packets only. finish() closes the
+ * books: records still open are discarded (counted, never sampled).
  */
 class Anatomy
 {
   public:
     Anatomy(const AnatomyConfig &cfg, int numNodes);
-    ~Anatomy();
     Anatomy(const Anatomy &) = delete;
     Anatomy &operator=(const Anatomy &) = delete;
 
-    /** The active sink, or nullptr when attribution is off. */
-    static Anatomy *current() { return current_; }
+    /** Render segment slices and live-count counters into @p tracer
+     * (nullptr: none). Set by Probe. */
+    void setTracer(Tracer *tracer) { tracer_ = tracer; }
 
     /**
      * May retransmission clones, which share their original's
@@ -160,7 +159,7 @@ class Anatomy
     /** True when root id @p rootId's lifecycle is sampled. */
     bool sampledId(std::uint64_t rootId) const;
 
-    //! @name Recording (called through the anatomy::on* shims)
+    //! @name Recording (called through the kernel's Probe)
     //! @{
     /** App packet handed to the NIC: open a record in swSend. */
     void onSend(const Packet &pkt, Cycle now);
@@ -265,10 +264,8 @@ class Anatomy
     /** Close r.cur's open segment at @p now. */
     void closeSegment(Rec &r, Cycle now);
 
-    // nifdy:static-ok(harness sink pointer, kept in step with the RAII sink stack; not simulation state)
-    static Anatomy *current_;
-
     AnatomyConfig cfg_;
+    Tracer *tracer_ = nullptr;
     bool clonesShareRecords_ = true;
     /** sampleRate mapped onto the u64 hash range. */
     std::uint64_t sampleThreshold_ = 0;
@@ -296,100 +293,6 @@ class Anatomy
  */
 std::unique_ptr<InvariantChecker>
 makeAnatomyConservationChecker(const Anatomy *anatomy);
-
-/**
- * Observer hook shims, mirroring trace::on*: one pointer test while
- * no Anatomy is active. Field inspection (sampling, ack/ctrl
- * filtering) happens inside Anatomy, keeping this header free of a
- * packet.hh dependency.
- */
-namespace anatomy
-{
-
-inline Anatomy *
-sink()
-{
-    return Anatomy::current();
-}
-
-/** True when a sink is attached (gates classifyStalls walks). */
-inline bool
-active()
-{
-    return sink() != nullptr;
-}
-
-inline void
-onSend(const Packet &pkt, Cycle now)
-{
-    if (Anatomy *a = sink())
-        a->onSend(pkt, now);
-}
-
-inline void
-onStall(const Packet &pkt, StallCause cause, Cycle now)
-{
-    if (Anatomy *a = sink())
-        a->onStall(pkt, cause, now);
-}
-
-inline void
-onInject(const Packet &pkt, Cycle now)
-{
-    if (Anatomy *a = sink())
-        a->onInject(pkt, now);
-}
-
-inline void
-onArbLoss(const Packet &pkt, Cycle now)
-{
-    if (Anatomy *a = sink())
-        a->onArbLoss(pkt, now);
-}
-
-inline void
-onHop(const Packet &pkt, Cycle now)
-{
-    if (Anatomy *a = sink())
-        a->onHop(pkt, now);
-}
-
-inline void
-onDrop(const Packet &pkt, Cycle now)
-{
-    if (Anatomy *a = sink())
-        a->onDrop(pkt, now);
-}
-
-inline void
-onEpochReject(const Packet &pkt, Cycle now)
-{
-    if (Anatomy *a = sink())
-        a->onEpochReject(pkt, now);
-}
-
-inline void
-onReorder(const Packet &pkt, Cycle now)
-{
-    if (Anatomy *a = sink())
-        a->onReorder(pkt, now);
-}
-
-inline void
-onDeliver(const Packet &pkt, Cycle now)
-{
-    if (Anatomy *a = sink())
-        a->onDeliver(pkt, now);
-}
-
-inline void
-onAccept(const Packet &pkt, Cycle now)
-{
-    if (Anatomy *a = sink())
-        a->onAccept(pkt, now);
-}
-
-} // namespace anatomy
 
 } // namespace nifdy
 

@@ -16,16 +16,6 @@ namespace nifdy
 namespace
 {
 
-/** Active-sink stack (mirrors the Anatomy stack); its top is cached
- * in CongestionObserver::current_. */
-std::vector<CongestionObserver *> &
-congestionStack()
-{
-    // nifdy:static-ok(harness sink stack, scoped by RAII push/pop; not simulation state)
-    static std::vector<CongestionObserver *> stack;
-    return stack;
-}
-
 /** Trace-event names (static storage; taxonomy per DESIGN.md §8). */
 constexpr const char *episodeSliceName = "congestion.episode";
 constexpr const char *congestedCounterName = "congestion.links.congested";
@@ -104,28 +94,12 @@ makeCongestionConservationChecker(const CongestionObserver *obs)
     return std::make_unique<CongestionConservationChecker>(obs);
 }
 
-CongestionObserver *CongestionObserver::current_ = nullptr;
-
 CongestionObserver::CongestionObserver(const CongestionConfig &cfg,
                                        int numNodes)
     : cfg_(cfg)
 {
     cfg_.validate();
     panic_if(numNodes < 1, "congestion observer needs >= 1 node");
-    congestionStack().push_back(this);
-    current_ = this;
-}
-
-CongestionObserver::~CongestionObserver()
-{
-    auto &stack = congestionStack();
-    for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-        if (*it == this) {
-            stack.erase(std::next(it).base());
-            break;
-        }
-    }
-    current_ = stack.empty() ? nullptr : stack.back();
 }
 
 void
@@ -286,7 +260,7 @@ CongestionObserver::onStallLevel(const Channel *ch, bool stalled,
 
 NIFDY_HOT void
 CongestionObserver::onLinkFlit(const Channel *ch, const Flit &flit,
-                               Cycle now)
+                               bool data, Cycle now)
 {
     if (finished_)
         return;
@@ -311,7 +285,7 @@ CongestionObserver::onLinkFlit(const Channel *ch, const Flit &flit,
         ++l.replyFlits;
     else
         ++l.reqFlits;
-    if (pkt.type == PacketType::ack || pkt.ctrlOnly)
+    if (!data)
         return;
     t.winFlows.push_back( // nifdy:alloc-ok(capacity persists at the per-window high-water; cleared, never freed)
         linkFlowKey(pkt.src, pkt.dst));
@@ -331,7 +305,7 @@ CongestionObserver::flowFor(const Packet &pkt)
 NIFDY_HOT void
 CongestionObserver::onInject(const Packet &pkt, Cycle now)
 {
-    if (finished_ || pkt.type == PacketType::ack || pkt.ctrlOnly)
+    if (finished_)
         return;
     FlowStats &f = flowFor(pkt);
     if (f.firstInject == neverCycle)
@@ -343,7 +317,7 @@ CongestionObserver::onInject(const Packet &pkt, Cycle now)
 NIFDY_HOT void
 CongestionObserver::onDeliver(const Packet &pkt, Cycle now)
 {
-    if (finished_ || pkt.type == PacketType::ack || pkt.ctrlOnly)
+    if (finished_)
         return;
     FlowStats &f = flowFor(pkt);
     ++f.delivered;
@@ -364,11 +338,8 @@ CongestionObserver::onDeliver(const Packet &pkt, Cycle now)
 void
 CongestionObserver::emitCongestedCounter(Cycle now)
 {
-    if (trace::compiledIn()) {
-        if (Tracer *t = Tracer::current())
-            t->counterSample(congestedCounterName, now,
-                             openEpisodes_);
-    }
+    if (tracer_)
+        tracer_->counterSample(congestedCounterName, now, openEpisodes_);
 }
 
 void
@@ -437,14 +408,9 @@ CongestionObserver::closeEpisode(int link, Cycle end)
         }
     }
 
-    if (trace::compiledIn()) {
-        if (Tracer *t = Tracer::current()) {
-            if (e.close > e.open)
-                t->anatomySlice(episodeSliceName,
-                                congestionChainId(link), e.open,
-                                e.close, link);
-        }
-    }
+    if (tracer_ && e.close > e.open)
+        tracer_->anatomySlice(episodeSliceName, congestionChainId(link),
+                              e.open, e.close, link);
     emitCongestedCounter(end);
 }
 

@@ -40,15 +40,16 @@
  * latency over the flow's own minimum-latency isolation baseline)
  * is at least congestion.victimSlowdown.
  *
- * Cost model mirrors anatomy.hh: the congestion::on* shims below
- * cost one pointer test while no observer is active
- * (congestion.enabled defaults to off), so congestion-off runs
- * produce byte-identical reports. When active, the hooks are
- * NIFDY_HOT and allocation-free after warmup: each link logs the
- * flow of every data flit of the current window in a buffer that
- * is cleared, not freed, and folds it into its open episode's
- * per-flow counts (kept per link) at the window close; episode
- * flow lists are only materialized at the (rare) episode close.
+ * Cost model mirrors anatomy.hh: while no observer is attached to
+ * the kernel's Probe (congestion.enabled defaults to off), each
+ * reporting site pays one inline test in the probe, so
+ * congestion-off runs produce byte-identical reports. When attached,
+ * the hooks are NIFDY_HOT and allocation-free after warmup: each
+ * link logs the flow of every data flit of the current window in a
+ * buffer that is cleared, not freed, and folds it into its open
+ * episode's per-flow counts (kept per link) at the window close;
+ * episode flow lists are only materialized at the (rare) episode
+ * close.
  */
 
 #ifndef NIFDY_SIM_CONGESTION_HH
@@ -72,6 +73,7 @@ struct Flit;
 class Channel;
 class Network;
 class InvariantChecker;
+class Tracer;
 
 /** Runtime knobs (CLI: congestion.enabled / congestion.window / ...). */
 struct CongestionConfig
@@ -134,9 +136,8 @@ struct CongestionEpisode
 };
 
 /**
- * The observatory sink. Constructing one makes it the current sink
- * (a stack is kept so nested scopes in tests behave); destroying it
- * pops it. finish() closes still-open episodes and stops recording.
+ * The observatory sink, fed through the kernel's Probe once attached
+ * to it. finish() closes still-open episodes and stops recording.
  */
 class CongestionObserver : public Steppable
 {
@@ -202,12 +203,12 @@ class CongestionObserver : public Steppable
     };
 
     CongestionObserver(const CongestionConfig &cfg, int numNodes);
-    ~CongestionObserver() override;
     CongestionObserver(const CongestionObserver &) = delete;
     CongestionObserver &operator=(const CongestionObserver &) = delete;
 
-    /** The active sink, or nullptr when observation is off. */
-    static CongestionObserver *current() { return current_; }
+    /** Render episode slices and the congested-link counter into
+     * @p tracer (nullptr: none). Set by Probe. */
+    void setTracer(Tracer *tracer) { tracer_ = tracer; }
 
     /** Enumerate @p net's channels: inject/eject ports get
      * "inject<n>"/"eject<n>" labels, fabric links "internal<i>". */
@@ -223,15 +224,17 @@ class CongestionObserver : public Steppable
      * Stepping it in any other cycle is a no-op. */
     void step(Cycle now) override;
 
-    //! @name Recording (called through the congestion::on* shims)
+    //! @name Recording (called through the kernel's Probe)
     //! @{
     /** The producer of @p ch raised (@p stalled) or cleared its
      * stall level at cycle @p now: until the next change, every
      * cycle the link is not serializing counts as stalled. */
     void onStallLevel(const Channel *ch, bool stalled, Cycle now);
     /** A flit started serializing on @p ch (called after the
-     * push). */
-    void onLinkFlit(const Channel *ch, const Flit &flit, Cycle now);
+     * push); @p data: it belongs to a data packet, whose flow the
+     * link logs. */
+    void onLinkFlit(const Channel *ch, const Flit &flit, bool data,
+                    Cycle now);
     /** Head flit of a data packet entered the network. */
     void onInject(const Packet &pkt, Cycle now);
     /** Data packet entered the destination's arrival FIFO. */
@@ -344,10 +347,8 @@ class CongestionObserver : public Steppable
     void closeEpisode(int link, Cycle end);
     void emitCongestedCounter(Cycle now);
 
-    // nifdy:static-ok(harness sink pointer, kept in step with the RAII sink stack; not simulation state)
-    static CongestionObserver *current_;
-
     CongestionConfig cfg_;
+    Tracer *tracer_ = nullptr;
     bool started_ = false;
     bool finished_ = false;
     int flitBytes_ = bytesPerWord;
@@ -379,51 +380,6 @@ class CongestionObserver : public Steppable
  */
 std::unique_ptr<InvariantChecker>
 makeCongestionConservationChecker(const CongestionObserver *obs);
-
-/**
- * Observer hook shims, mirroring anatomy::on*: one pointer test
- * while no CongestionObserver is active. Field inspection (ack/ctrl
- * filtering, link lookup) happens inside the observer, keeping this
- * header free of packet.hh/channel.hh dependencies.
- */
-namespace congestion
-{
-
-inline CongestionObserver *
-sink()
-{
-    return CongestionObserver::current();
-}
-
-/** True when a sink is attached. */
-inline bool
-active()
-{
-    return sink() != nullptr;
-}
-
-inline void
-onLinkFlit(const Channel *ch, const Flit &flit, Cycle now)
-{
-    if (CongestionObserver *c = sink())
-        c->onLinkFlit(ch, flit, now);
-}
-
-inline void
-onInject(const Packet &pkt, Cycle now)
-{
-    if (CongestionObserver *c = sink())
-        c->onInject(pkt, now);
-}
-
-inline void
-onDeliver(const Packet &pkt, Cycle now)
-{
-    if (CongestionObserver *c = sink())
-        c->onDeliver(pkt, now);
-}
-
-} // namespace congestion
 
 } // namespace nifdy
 

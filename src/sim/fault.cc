@@ -6,10 +6,7 @@
 #include "net/packet.hh"
 #include "net/router.hh"
 #include "net/topology.hh"
-#include "sim/anatomy.hh"
-#include "sim/audit.hh"
 #include "sim/log.hh"
-#include "sim/trace.hh"
 
 namespace nifdy
 {
@@ -467,19 +464,18 @@ FaultInjector::budgetLeft() const
 }
 
 void
-FaultInjector::finishKill(Packet *pkt, int routerId, Cycle now)
+FaultInjector::finishKill(Packet *pkt, int routerId, Cycle now,
+                          const Probe &probe)
 {
     ++pktsDropped_;
-    audit::onFabricDrop(*pkt, routerId, "fault-injected fabric drop");
-    trace::onFabricDrop(*pkt, routerId, now,
-                        "fault-injected fabric drop");
-    anatomy::onDrop(*pkt, now);
+    probe.fabricDrop(*pkt, routerId, now, "fault-injected fabric drop");
     pool_.release(pkt);
 }
 
 bool
 FaultInjector::filterArrival(int routerId, Channel *ch,
-                             const Flit &flit, Cycle now)
+                             const Flit &flit, Cycle now,
+                             const Probe &probe)
 {
     if (internal_.find(ch) == internal_.end())
         return false; // NIC attach links carry no in-fabric faults
@@ -497,7 +493,7 @@ FaultInjector::filterArrival(int routerId, Channel *ch,
         if (flit.tail) {
             Packet *victim = it->second;
             killing_.erase(it);
-            finishKill(victim, routerId, now);
+            finishKill(victim, routerId, now, probe);
         }
         return true;
     }
@@ -510,7 +506,7 @@ FaultInjector::filterArrival(int routerId, Channel *ch,
         rng.chance(plan_.dropProb)) {
         ++flitsDropped_;
         if (flit.tail) {
-            finishKill(flit.pkt, routerId, now); // single-flit packet
+            finishKill(flit.pkt, routerId, now, probe); // single-flit packet
         } else {
             killing_[key] = flit.pkt;
         }
@@ -520,8 +516,7 @@ FaultInjector::filterArrival(int routerId, Channel *ch,
         rng.chance(plan_.corruptProb)) {
         flit.pkt->corrupted = true;
         ++pktsCorrupted_;
-        audit::onCorrupt(*flit.pkt, routerId);
-        trace::onFabricCorrupt(*flit.pkt, routerId, now);
+        probe.corrupt(*flit.pkt, routerId, now);
     }
     return false;
 }

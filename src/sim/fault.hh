@@ -255,10 +255,11 @@ class FaultInjector
      * incoming channel before it is buffered. Returns true when the
      * injector swallowed the flit (the router must return the input
      * credit and forget the flit); may instead mark the packet
-     * corrupted and let it pass.
+     * corrupted and let it pass. Losses and corruptions are reported
+     * to the router's @p probe.
      */
     bool filterArrival(int routerId, Channel *ch, const Flit &flit,
-                       Cycle now);
+                       Cycle now, const Probe &probe);
 
     //! @name Fault statistics
     //! @{
@@ -276,7 +277,8 @@ class FaultInjector
      * are being swallowed until its tail passes. */
     using KillKey = std::pair<const Channel *, int>;
 
-    void finishKill(Packet *pkt, int routerId, Cycle now);
+    void finishKill(Packet *pkt, int routerId, Cycle now,
+                    const Probe &probe);
     bool budgetLeft() const;
 
     FaultPlan plan_;

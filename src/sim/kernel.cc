@@ -109,7 +109,7 @@ Kernel::holdActive(std::uint32_t slot, Cycle until)
 NIFDY_HOT void
 Kernel::step()
 {
-    if (profiler_) [[unlikely]] {
+    if (probe_.profiler()) [[unlikely]] {
         stepProfiled();
         return;
     }
@@ -132,8 +132,8 @@ Kernel::endCycle(std::uint64_t *bits, std::uint64_t before, Profiler *timed)
 {
     std::fill(bits, bits + words_, 0);
     passed_ = objects_.size();
-    if (audit_) {
-        audit_->endCycle(now_);
+    if (Audit *audit = probe_.audit()) {
+        audit->endCycle(now_);
         if (timed)
             timed->phaseTimed(ProfPhase::audit);
     }
@@ -155,7 +155,7 @@ Kernel::endCycle(std::uint64_t *bits, std::uint64_t before, Profiler *timed)
 NIFDY_HOT void
 Kernel::stepProfiled()
 {
-    Profiler &p = *profiler_;
+    Profiler &p = *probe_.profiler();
     p.sync(objects_);
     const std::uint64_t before = activityEvents_;
     std::uint64_t prev = before;

@@ -33,15 +33,14 @@
 #include <string>
 #include <vector>
 
+#include "sim/probe.hh"
 #include "sim/types.hh"
 
 namespace nifdy
 {
 
-class Audit;
 class Kernel;
 class Metrics;
-class Profiler;
 
 /** Anything the Kernel advances cycle by cycle. */
 class Steppable
@@ -171,12 +170,16 @@ class Kernel
     Cycle watchdogLimit() const { return watchdogLimit_; }
 
     /**
-     * Attach an invariant-audit registry (non-owning, may be
-     * nullptr): its polled checks run at the end of every cycle,
-     * after all components have stepped.
+     * The observers of this kernel's components (sim/probe.hh).
+     * Besides fanning out events, the kernel runs the attached
+     * audit's polled checks at the end of every cycle, after all
+     * components have stepped, and takes the profiled step path
+     * while a profiler is attached; detached, the hot loop pays
+     * exactly one pointer test, so profile-off runs are
+     * byte-identical.
      */
-    void setAudit(Audit *audit) { audit_ = audit; }
-    Audit *audit() const { return audit_; }
+    Probe &probe() { return probe_; }
+    const Probe &probe() const { return probe_; }
 
     /**
      * Attach a metric registry (non-owning, may be nullptr): its
@@ -185,15 +188,6 @@ class Kernel
      */
     void setMetrics(Metrics *metrics) { metrics_ = metrics; }
     Metrics *metrics() const { return metrics_; }
-
-    /**
-     * Attach a host-cost profiler (non-owning, may be nullptr).
-     * While attached, step() takes the profiled path; detached, the
-     * hot loop pays exactly one pointer test (the always-compiled
-     * idle path, so profile-off runs are byte-identical).
-     */
-    void setProfiler(Profiler *profiler) { profiler_ = profiler; }
-    Profiler *profiler() const { return profiler_; }
 
   private:
     friend class Steppable;
@@ -277,9 +271,8 @@ class Kernel
      * cycles): a wake for now_ at or below it goes to now_ + 1. */
     std::size_t passed_ = 0;
     bool stepAll_ = false;
-    Audit *audit_ = nullptr;
+    Probe probe_;
     Metrics *metrics_ = nullptr;
-    Profiler *profiler_ = nullptr;
 };
 
 inline void

@@ -91,22 +91,16 @@ struct ProfileConfig
 };
 
 /**
- * The host-cost sink. Constructing a Profiler makes it the current
- * sink (a stack is kept so nested scopes in tests behave);
- * destroying it pops it. The kernel drives it through
- * Kernel::setProfiler; the trace layer reaches it through
- * ScopedPhase.
+ * The host-cost sink. The kernel drives it once attached to the
+ * kernel's Probe (Probe::setProfiler); the tracer charges its file
+ * write to it through ScopedPhase.
  */
 class Profiler
 {
   public:
     explicit Profiler(const ProfileConfig &cfg);
-    ~Profiler();
     Profiler(const Profiler &) = delete;
     Profiler &operator=(const Profiler &) = delete;
-
-    /** The active sink, or nullptr when profiling is off. */
-    static Profiler *current();
 
     /** Monotonic host clock, integer nanoseconds. */
     static std::uint64_t hostNowNs();
@@ -147,15 +141,15 @@ class Profiler
     }
 
     /**
-     * RAII scope charging its lifetime to a phase, for host work
-     * outside the kernel loop (trace emit). One pointer test when no
-     * profiler is attached.
+     * RAII scope charging its lifetime to @p p's phase @p ph, for
+     * host work outside the kernel loop (trace emit). One pointer
+     * test when @p p is nullptr.
      */
     class ScopedPhase
     {
       public:
-        explicit ScopedPhase(ProfPhase ph)
-            : p_(Profiler::current()), ph_(ph),
+        ScopedPhase(Profiler *p, ProfPhase ph)
+            : p_(p), ph_(ph),
               t0_(p_ ? hostNowNs() : 0)
         {
         }

@@ -17,15 +17,6 @@ namespace nifdy
 namespace
 {
 
-/** Active-tracer stack (mirrors the Audit sink stack). */
-std::vector<Tracer *> &
-tracerStack()
-{
-    // nifdy:static-ok(harness sink stack, scoped by RAII push/pop; not simulation state)
-    static std::vector<Tracer *> stack;
-    return stack;
-}
-
 /**
  * Per-path use counts for suffix uniquification, so a bench that
  * builds several traced experiments in one process never clobbers an
@@ -80,26 +71,11 @@ Tracer::Tracer(const TraceConfig &cfg) : cfg_(cfg)
         sampleThreshold_ = std::uint64_t(
             cfg_.sampleRate * double(~std::uint64_t(0)));
     }
-    tracerStack().push_back(this);
 }
 
 Tracer::~Tracer()
 {
     close();
-    auto &stack = tracerStack();
-    for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-        if (*it == this) {
-            stack.erase(std::next(it).base());
-            break;
-        }
-    }
-}
-
-Tracer *
-Tracer::current()
-{
-    auto &stack = tracerStack();
-    return stack.empty() ? nullptr : stack.back();
 }
 
 bool
@@ -138,11 +114,6 @@ void
 Tracer::packetEvent(const char *name, const Packet &pkt, Cycle now,
                     int track, const char *why)
 {
-    // Acks and NIC-internal control packets are not lifecycle
-    // subjects; their protocol effect is traced as ev::ackIssue (or
-    // not at all), keeping one async chain per payload packet.
-    if (pkt.type == PacketType::ack || pkt.ctrlOnly)
-        return;
     std::uint64_t root = pkt.cloneOf ? pkt.cloneOf : pkt.id;
     if (!sampledId(root))
         return;
@@ -188,7 +159,7 @@ Tracer::close()
     // Host cost of rendering + writing the trace file, charged to
     // the profiler's trace-emit phase (outside the kernel loop, so
     // additional to the loop conservation sum).
-    Profiler::ScopedPhase profScope(ProfPhase::traceEmit);
+    Profiler::ScopedPhase profScope(profiler_, ProfPhase::traceEmit);
 
     // Per-id first/last indices: the first event of a chain becomes
     // the async "b", the last the async "e", everything between "n".

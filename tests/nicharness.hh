@@ -121,7 +121,7 @@ class NifdyHarness
             audit->watchRouter(&net->router(r));
         for (int c = 0; c < net->numChannels(); ++c)
             audit->watchChannel(&net->channelAt(c));
-        kernel.setAudit(audit.get());
+        kernel.probe().setAudit(audit.get());
         return *audit;
     }
 

@@ -295,12 +295,12 @@ TEST(CongestionClassify, TwoAggressorsOneVictim)
             for (int k = 0; k < 2; ++k) {
                 Flit f;
                 f.pkt = (k == 0) ? &pa : &pb;
-                co.onLinkFlit(&rig.ch, f, rig.now);
+                co.onLinkFlit(&rig.ch, f, true, rig.now);
             }
             if (c < 2) {
                 Flit f;
                 f.pkt = &pc;
-                co.onLinkFlit(&rig.ch, f, rig.now);
+                co.onLinkFlit(&rig.ch, f, true, rig.now);
             }
             co.step(rig.now);
         }
@@ -453,7 +453,7 @@ TEST(CongestionAllocgate, SteadyStateObservationDoesNotAllocate)
                 co.onStallLevel(&rig.ch, true, rig.now);
                 Flit f;
                 f.pkt = (c & 1) ? &pa : &pb;
-                co.onLinkFlit(&rig.ch, f, rig.now);
+                co.onLinkFlit(&rig.ch, f, true, rig.now);
                 co.onInject(pa, rig.now);
                 co.onDeliver(pa, rig.now + 10);
                 co.step(rig.now);
